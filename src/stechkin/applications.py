@@ -17,11 +17,19 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, _denom
+from .core import DEFAULT_RTOL, _growth, _require_tau
 from .errors import AdmissibilityError, NonConvergenceError
 from .numerics import integrate, sum_lattice
 from .orthopoly import OrthogonalFamily, evaluate_all
-from .spectral import Symbol, check_admissibility, SpectralMeasure, effective_growth
+from .spectral import (
+    Symbol,
+    SpectralMeasure,
+    _denom,
+    _integral,
+    check_admissibility,
+    effective_growth,
+    weight,
+)
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,11 @@ class TaikovConstants:
 
 @dataclass(frozen=True)
 class PointConstants:
-    """Constants of one concrete setting; ``t`` is None for shift-invariant ones."""
+    """Constants of one concrete setting; ``t`` is None for shift-invariant ones.
+
+    ``truncation`` counts the work behind the sums: quadrature panels on the
+    line, lattice terms on the circle, the cutoff degree for expansions.
+    """
 
     N_pt: float
     E_pt: float
@@ -115,28 +127,29 @@ def _require_l2(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> None:
         )
 
 
+def _setting_constants(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
+                       rel_tol: float) -> PointConstants:
+    """N and E = tau*M on a builtin measure, with the error carried into ``tail_bound``."""
+    _require_tau(tau)
+    _require_l2(phi, psi, measure)
+    n2 = _integral(measure, weight(phi, psi, tau, 0, 2), rel_tol, _growth(phi, psi, 2, False))
+    m2 = _integral(measure, weight(phi, psi, tau, 1, 2), rel_tol, _growth(phi, psi, 2, True))
+    err = n2.tail_bound / max(2.0 * math.sqrt(max(n2.value, 1e-300)), 1e-300) \
+        + tau * m2.tail_bound / max(2.0 * math.sqrt(max(m2.value, 1e-300)), 1e-300)
+    return PointConstants(N_pt=math.sqrt(max(n2.value, 0.0)),
+                          E_pt=tau * math.sqrt(max(m2.value, 0.0)),
+                          tau=tau, truncation=n2.terms_used + m2.terms_used, tail_bound=err)
+
+
 def line_constants(phi: Symbol, psi: Symbol, tau: float,
                    rel_tol: float = DEFAULT_RTOL) -> PointConstants:
     """N and E for pointwise bounds on the line:
 
     N^2 = integral over R of |phi(s)|^2/(1+tau|psi(s)|^2)^2 ds,
     E = tau * {integral of |phi psi|^2/(1+tau|psi|^2)^2 ds}^(1/2).
+    The quadrature tolerance is clamped to rel_tol >= 1e-12.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    lebesgue = SpectralMeasure.density()
-    _require_l2(phi, psi, lebesgue)
-    d = _denom(psi, tau)
-
-    n2 = integrate(lambda s: float(phi.abs2(s) / d(s) ** 2), (-math.inf, math.inf),
-                   rel_tol=rel_tol)
-    m2 = integrate(lambda s: float(phi.abs2(s) * psi.abs2(s) / d(s) ** 2),
-                   (-math.inf, math.inf), rel_tol=rel_tol)
-    err = n2.abs_error_estimate / max(2.0 * math.sqrt(max(n2.value, 1e-300)), 1e-300) \
-        + tau * m2.abs_error_estimate / max(2.0 * math.sqrt(max(m2.value, 1e-300)), 1e-300)
-    return PointConstants(N_pt=math.sqrt(max(n2.value, 0.0)),
-                          E_pt=tau * math.sqrt(max(m2.value, 0.0)),
-                          tau=tau, tail_bound=err)
+    return _setting_constants(SpectralMeasure.density(), phi, psi, tau, rel_tol)
 
 
 def line_extremal_functional(phi: Symbol, psi: Symbol, tau: float,
@@ -150,8 +163,7 @@ def line_extremal_functional(phi: Symbol, psi: Symbol, tau: float,
     ``xhat`` is a callable, or a sampled profile as an (s_grid, values) pair
     which is interpolated linearly and treated as zero outside the grid.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _require_tau(tau)
     if isinstance(xhat, tuple):
         grid, values = (np.asarray(xhat[0], dtype=float), np.asarray(xhat[1]))
         if grid.ndim != 1 or grid.shape != values.shape:
@@ -179,22 +191,7 @@ def circle_constants(phi: Symbol, psi: Symbol, tau: float,
     N^2 = sum over n in Z of |phi(n)|^2/(1+tau|psi(n)|^2)^2, and
     E = tau * {sum of |phi(n) psi(n)|^2/(1+tau|psi(n)|^2)^2}^(1/2).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    lattice = SpectralMeasure.lattice("Z", uniform=1.0)
-    _require_l2(phi, psi, lattice)
-    d = _denom(psi, tau)
-
-    n_res = sum_lattice(lambda n: np.real(phi.abs2(n) / d(n) ** 2), "Z", rel_tol=rel_tol)
-    m_res = sum_lattice(lambda n: np.real(phi.abs2(n) * psi.abs2(n) / d(n) ** 2), "Z",
-                        rel_tol=rel_tol)
-    n2 = float(np.real(n_res.value))
-    m2 = float(np.real(m_res.value))
-    err = n_res.tail_bound / max(2.0 * math.sqrt(max(n2, 1e-300)), 1e-300) \
-        + tau * m_res.tail_bound / max(2.0 * math.sqrt(max(m2, 1e-300)), 1e-300)
-    return PointConstants(N_pt=math.sqrt(max(n2, 0.0)), E_pt=tau * math.sqrt(max(m2, 0.0)),
-                          tau=tau, truncation=n_res.terms_used + m_res.terms_used,
-                          tail_bound=err)
+    return _setting_constants(SpectralMeasure.lattice("Z", uniform=1.0), phi, psi, tau, rel_tol)
 
 
 def circle_extremal_functional(phi: Symbol, psi: Symbol, tau: float,
@@ -205,8 +202,7 @@ def circle_extremal_functional(phi: Symbol, psi: Symbol, tau: float,
     ``xhat`` maps integers to coefficients; a finite mapping is summed
     exactly, a callable is summed under the tail-bound policy.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _require_tau(tau)
     d = _denom(psi, tau)
     if isinstance(xhat, Mapping):
         return complex(sum(
@@ -277,8 +273,7 @@ def opoly_constants(family: OrthogonalFamily, phi: Symbol, psi: Symbol, tau: flo
     slowly decaying pairs the oscillatory factor admits no integral
     acceleration, so the cap limits the reachable bound).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _require_tau(tau)
     lo, hi = family.interval()
     if not (lo <= t <= hi):
         raise ValueError("t outside the family interval")
@@ -342,8 +337,7 @@ def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol
     ``x_coeffs`` is a mapping (finite support: summed exactly) or a callable
     with square-summable values (truncated under the envelope policy).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _require_tau(tau)
 
     if isinstance(x_coeffs, Mapping):
         if not x_coeffs:

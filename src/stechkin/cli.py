@@ -130,6 +130,23 @@ def _family(args) -> OrthogonalFamily:
     raise ConfigError(f"unknown family {kind!r}")
 
 
+def _emit_sweep(args, header, row) -> int:
+    """One ``row(tau)`` per --tau-grid point, as CSV rows or JSON {"sweep": [...]}."""
+    rows = [row(float(tau)) for tau in _tau_grid(args.tau_grid)]
+    if args.format == "csv":
+        emit_csv(rows, header)
+    else:
+        emit_json({"sweep": [dict(zip(header, r)) for r in rows]})
+    return EXIT_OK
+
+
+_SETTING_HEADER = ("tau", "N", "E", "tail_bound")
+
+
+def _setting_row(pc):
+    return pc.tau, pc.N_pt, pc.E_pt, pc.tail_bound
+
+
 # ----------------------------------------------------------------------
 # subcommand handlers
 
@@ -139,16 +156,10 @@ def cmd_constants(args) -> int:
     measure = _load_measure(args.measure)
     phi, psi = parse_symbol(args.phi), parse_symbol(args.psi)
     if args.tau_grid:
-        taus = _tau_grid(args.tau_grid)
-        rows = []
-        for tau in taus:
-            c = core.best_approx(measure, phi, psi, float(tau), rel_tol=rtol)
-            rows.append((c.tau, c.N, c.M, c.E, rtol))
-        if args.format == "csv":
-            emit_csv(rows, ["tau", "N", "M", "E", "rel_tol"])
-        else:
-            emit_json({"sweep": [dict(zip(("tau", "N", "M", "E", "rel_tol"), r)) for r in rows]})
-        return EXIT_OK
+        def row(tau):
+            c = core.best_approx(measure, phi, psi, tau, rel_tol=rtol)
+            return c.tau, c.N, c.M, c.E, rtol
+        return _emit_sweep(args, ("tau", "N", "M", "E", "rel_tol"), row)
     c = core.best_approx(measure, phi, psi, args.tau, rel_tol=rtol)
     payload = {"tau": c.tau, "N": c.N, "M": c.M, "E": c.E, "rel_tol": rtol}
     if args.format == "csv":
@@ -182,16 +193,8 @@ def cmd_line(args) -> int:
     rtol = _default_rtol(args)
     phi, psi = parse_symbol(args.phi), parse_symbol(args.psi)
     if args.tau_grid:
-        taus = _tau_grid(args.tau_grid)
-        rows = []
-        for tau in taus:
-            pc = line_constants(phi, psi, float(tau), rel_tol=rtol)
-            rows.append((pc.tau, pc.N_pt, pc.E_pt, pc.tail_bound))
-        if args.format == "csv":
-            emit_csv(rows, ["tau", "N", "E", "tail_bound"])
-        else:
-            emit_json({"sweep": [dict(zip(("tau", "N", "E", "tail_bound"), r)) for r in rows]})
-        return EXIT_OK
+        return _emit_sweep(args, _SETTING_HEADER,
+                           lambda tau: _setting_row(line_constants(phi, psi, tau, rel_tol=rtol)))
     pc = line_constants(phi, psi, args.tau, rel_tol=rtol)
     emit_json({"tau": pc.tau, "N": pc.N_pt, "E": pc.E_pt, "tail_bound": pc.tail_bound,
                "rel_tol": rtol})
@@ -202,16 +205,8 @@ def cmd_circle(args) -> int:
     rtol = _default_rtol(args)
     phi, psi = parse_symbol(args.phi), parse_symbol(args.psi)
     if args.tau_grid:
-        taus = _tau_grid(args.tau_grid)
-        rows = []
-        for tau in taus:
-            pc = circle_constants(phi, psi, float(tau), rel_tol=max(rtol, 1e-9))
-            rows.append((pc.tau, pc.N_pt, pc.E_pt, pc.tail_bound))
-        if args.format == "csv":
-            emit_csv(rows, ["tau", "N", "E", "tail_bound"])
-        else:
-            emit_json({"sweep": [dict(zip(("tau", "N", "E", "tail_bound"), r)) for r in rows]})
-        return EXIT_OK
+        return _emit_sweep(args, _SETTING_HEADER, lambda tau: _setting_row(
+            circle_constants(phi, psi, tau, rel_tol=max(rtol, 1e-9))))
     pc = circle_constants(phi, psi, args.tau, rel_tol=max(rtol, 1e-9))
     emit_json({"tau": pc.tau, "N": pc.N_pt, "E": pc.E_pt, "tail_bound": pc.tail_bound,
                "terms": pc.truncation, "rel_tol": max(rtol, 1e-9)})

@@ -30,10 +30,12 @@ from .numerics import solve_monotone, sup_search
 from .spectral import (
     SpectralMeasure,
     Symbol,
+    _denom,
     effective_growth,
     norm_phi_f,
     power_ratio_sup,
     spectral_integral,
+    weight,
 )
 
 DEFAULT_RTOL = 1e-10
@@ -98,43 +100,7 @@ class LemmaReport:
 
 
 # ----------------------------------------------------------------------
-# weights and growth bookkeeping
-
-
-def _denom(psi: Symbol, tau: float):
-    def d(t):
-        v = psi(t)
-        a2 = np.abs(v) ** 2 if isinstance(v, np.ndarray) else abs(v) ** 2
-        return 1.0 + tau * a2
-
-    return d
-
-
-def _n_weight(phi: Symbol, psi: Symbol, tau: float) -> Callable:
-    d = _denom(psi, tau)
-
-    def w(t):
-        return phi.abs2(t) / d(t) ** 2
-
-    return w
-
-
-def _m_weight(phi: Symbol, psi: Symbol, tau: float) -> Callable:
-    d = _denom(psi, tau)
-
-    def w(t):
-        return phi.abs2(t) * psi.abs2(t) / d(t) ** 2
-
-    return w
-
-
-def _h_weight(phi: Symbol, psi: Symbol, tau: float) -> Callable:
-    d = _denom(psi, tau)
-
-    def w(t):
-        return phi.abs2(t) / d(t)
-
-    return w
+# growth bookkeeping
 
 
 def _growth(phi: Symbol, psi: Symbol, denom_power: int, psi_factor: bool) -> Optional[float]:
@@ -151,8 +117,8 @@ def _growth(phi: Symbol, psi: Symbol, denom_power: int, psi_factor: bool) -> Opt
 
 
 def _require_tau(tau: float) -> None:
-    if not (tau > 0.0):
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +131,7 @@ def n_value(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
     _require_tau(tau)
     if phi.is_zero:
         return 0.0
-    val = spectral_integral(measure, _n_weight(phi, psi, tau), rel_tol=rel_tol,
+    val = spectral_integral(measure, weight(phi, psi, tau, 0, 2), rel_tol=rel_tol,
                             growth=_growth(phi, psi, 2, False))
     return math.sqrt(val) if not math.isinf(val) else math.inf
 
@@ -176,7 +142,7 @@ def m_value(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
     _require_tau(tau)
     if phi.is_zero or psi.is_zero:
         return 0.0
-    val = spectral_integral(measure, _m_weight(phi, psi, tau), rel_tol=rel_tol,
+    val = spectral_integral(measure, weight(phi, psi, tau, 1, 2), rel_tol=rel_tol,
                             growth=_growth(phi, psi, 2, True))
     return math.sqrt(val) if not math.isinf(val) else math.inf
 
@@ -256,7 +222,7 @@ def extremal_element(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: fl
     if phi.is_zero:
         fv = 0.0
     else:
-        fv = spectral_integral(measure, _h_weight(phi, psi, tau), rel_tol=rel_tol,
+        fv = spectral_integral(measure, weight(phi, psi, tau, 0, 1), rel_tol=rel_tol,
                                growth=_growth(phi, psi, 1, False))
     bound = additive_bound(constants, constants.N, constants.M)
     return ExtremalElement(
@@ -282,25 +248,21 @@ def hormander_coefficient(measure: SpectralMeasure, phi: Symbol, psi: Symbol, ta
                           rel_tol: float = DEFAULT_RTOL) -> float:
     """Single sharp constant { integral |phi|^2/(1+tau|psi|^2) dmu }^(1/2).
 
-    Internally cross-checked against N^2 + tau*M^2, which it must equal.
+    The integral is the extremal element's functional value; it is
+    cross-checked against N^2 + tau*M^2, which it must equal.
     """
-    _require_tau(tau)
-    if phi.is_zero:
-        return 0.0
-    val = spectral_integral(measure, _h_weight(phi, psi, tau), rel_tol=rel_tol,
-                            growth=_growth(phi, psi, 1, False))
+    x = extremal_element(measure, phi, psi, tau, rel_tol)
+    val = x.functional_value
     if math.isinf(val):
         return math.inf
-    c = math.sqrt(val)
-    cons = best_approx(measure, phi, psi, tau, rel_tol)
-    combo = cons.N ** 2 + tau * cons.M ** 2
+    combo = x.constants.N ** 2 + tau * x.constants.M ** 2
     tol = 1e-6 if measure.variant != "discrete" else 1e-10
     if abs(val - combo) > tol * max(val, 1e-300):
         raise AdmissibilityError(
             f"internal identity failed: coefficient^2 = {val:.17g} vs "
             f"N^2 + tau*M^2 = {combo:.17g}"
         )
-    return c
+    return math.sqrt(val)
 
 
 def hlp_constant(phi: Symbol, psi: Symbol, tau: float,

@@ -168,23 +168,13 @@ def evaluate_all(family: OrthogonalFamily, n_max: int, t) -> np.ndarray:
     Returns shape (n_max+1,) for scalars and (n_max+1, len(t)) for arrays.
     """
     _gate(family)
-    a, b = _recurrence(family._key(), n_max + 1)
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
     lo, hi = family.interval()
     if np.any(tt < lo) or np.any(tt > hi):
         raise ValueError(f"evaluation point outside the family interval {family.interval()}")
-    out = np.empty((n_max + 1, tt.size))
-    q_prev = np.zeros(tt.size)
-    q = np.full(tt.size, 1.0 / math.sqrt(b[0]))
-    out[0] = q
-    for k in range(n_max):
-        q_next = ((tt - a[k]) * q - math.sqrt(b[k]) * q_prev) / math.sqrt(b[k + 1])
-        q_prev, q = q, q_next
-        out[k + 1] = q
-    signs = np.asarray([family.sign(k) for k in range(n_max + 1)])
-    out = out * signs[:, None]
+    out = _eval_block(family, n_max, tt)
     return out[:, 0] if scalar else out
 
 
@@ -260,7 +250,7 @@ def _panels(family: OrthogonalFamily, n_max: int) -> np.ndarray:
 
 
 def _eval_block(family: OrthogonalFamily, n_max: int, tt: np.ndarray) -> np.ndarray:
-    """Recurrence evaluated directly (the gate itself calls this path)."""
+    """Recurrence evaluated without the Gram gate, which itself calls this path."""
     a, b = _recurrence(family._key(), n_max + 1)
     Q = np.empty((n_max + 1, tt.size))
     q_prev = np.zeros(tt.size)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
 from . import numerics
-from .numerics import integrate, sum_lattice, sup_search
+from .numerics import SeriesResult, integrate, sum_lattice, sup_search
 
 Interval = Tuple[float, float]
 
@@ -143,11 +143,11 @@ class SpectralMeasure:
     @classmethod
     def discrete(cls, atoms) -> "SpectralMeasure":
         pts = tuple((float(t), float(w)) for t, w in atoms)
+        if not all(math.isfinite(t) and 0.0 <= w < math.inf for t, w in pts):
+            raise ConfigError("atoms need finite locations and finite nonnegative weights")
         locs = [t for t, _ in pts]
         if len(set(locs)) != len(locs):
             raise ConfigError("discrete atom locations must be pairwise distinct")
-        if any(w < 0 for _, w in pts):
-            raise ConfigError("atom weights must be nonnegative")
         return cls(variant="discrete", atoms=pts)
 
     @classmethod
@@ -159,13 +159,13 @@ class SpectralMeasure:
             raise ConfigError("lattice measures take exactly one of weights / uniform")
         if weights is not None:
             w = {int(k): float(v) for k, v in weights.items()}
-            if any(v < 0 for v in w.values()):
-                raise ConfigError("lattice weights must be nonnegative")
+            if not all(0.0 <= v < math.inf for v in w.values()):
+                raise ConfigError("lattice weights must be finite and nonnegative")
             if index_set == "Z+" and any(k < 0 for k in w):
                 raise ConfigError("Z+ lattice weights must have nonnegative indices")
             return cls(variant="lattice", index_set=index_set, lattice_weights=w)
-        if uniform < 0:
-            raise ConfigError("uniform lattice weight must be nonnegative")
+        if not 0.0 <= uniform < math.inf:
+            raise ConfigError("uniform lattice weight must be finite and nonnegative")
         return cls(variant="lattice", index_set=index_set, uniform_weight=float(uniform))
 
     @classmethod
@@ -178,8 +178,8 @@ class SpectralMeasure:
             return cls(variant="density", support=sup, density_fn=None, density_desc="one")
         if isinstance(density, (int, float)):
             c = float(density)
-            if c < 0:
-                raise ConfigError("constant density must be nonnegative")
+            if not 0.0 <= c < math.inf:
+                raise ConfigError("constant density must be finite and nonnegative")
             return cls(variant="density", support=sup,
                        density_fn=(lambda t, c=c: c), density_desc=f"const:{c:g}")
         return cls(variant="density", support=sup, density_fn=density, density_desc="callable")
@@ -223,6 +223,8 @@ class SpectralMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralMeasure":
+        if not isinstance(obj, dict):
+            raise ConfigError("a measure must be a JSON object")
         kind = obj.get("type")
         if kind == "discrete":
             return cls.discrete([(a["t"], a["w"]) for a in obj["atoms"]])
@@ -247,7 +249,8 @@ class SpectralMeasure:
         try:
             with open(path) as fh:
                 return cls.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        # ValueError also covers malformed JSON and unparsable indices or numbers
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load measure file {path!r}: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -269,6 +272,88 @@ class SpectralMeasure:
 # spectral integrals
 
 
+def _denom(psi: Symbol, tau: float):
+    def d(t):
+        v = psi(t)
+        a2 = np.abs(v) ** 2 if isinstance(v, np.ndarray) else abs(v) ** 2
+        return 1.0 + tau * a2
+
+    return d
+
+
+def weight(phi: Symbol, psi: Symbol, tau: float, psi_power: int, denom_power: int) -> Callable:
+    """The kernel |phi|^2 |psi|^(2 psi_power) / (1 + tau |psi|^2)^denom_power, array-aware.
+
+    N^2, M^2 and the squared Hormander coefficient integrate it with
+    (psi_power, denom_power) = (0, 2), (1, 2) and (0, 1).
+    """
+    d = _denom(psi, tau)
+    # single expressions, no named temporaries: numpy then reuses the large
+    # intermediate arrays of a lattice block in place
+    if psi_power:
+        return lambda t: phi.abs2(t) * psi.abs2(t) ** psi_power / d(t) ** denom_power
+    return lambda t: phi.abs2(t) / d(t) ** denom_power
+
+
+def _integral(
+    measure: SpectralMeasure,
+    weight: Callable,
+    rel_tol: float = numerics.DEFAULT_SERIES_RTOL,
+    growth: Optional[float] = None,
+) -> SeriesResult:
+    """:func:`spectral_integral` with its error bound and its term (or panel) count."""
+    if measure.variant == "discrete":
+        return SeriesResult(math.fsum(float(np.real(weight(t))) * w for t, w in measure.atoms),
+                            0.0, len(measure.atoms))
+
+    if measure.variant == "lattice":
+        if measure.lattice_weights is not None:
+            return SeriesResult(math.fsum(
+                float(np.real(weight(float(n)))) * w
+                for n, w in sorted(measure.lattice_weights.items())
+            ), 0.0, len(measure.lattice_weights))
+        w0 = measure.uniform_weight
+        if w0 == 0.0:
+            return SeriesResult(0.0, 0.0, 0)
+        if growth is not None and growth >= -1.0:
+            return SeriesResult(math.inf, 0.0, 0)
+
+        def term(n):
+            return w0 * np.real(weight(n))
+
+        try:
+            res = sum_lattice(term, measure.index_set, rel_tol=rel_tol)
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                "lattice integral did not converge and no growth metadata proves divergence"
+            ) from exc
+        return SeriesResult(float(np.real(res.value)), res.tail_bound, res.terms_used)
+
+    total = err = 0.0
+    panels = 0
+    dens = measure.density_at
+    desc = measure.density_desc
+    nondecaying = desc == "one" or (desc.startswith("const:") and float(desc[6:]) > 0)
+    for a, b in measure.support:
+        # the growth shortcut presumes the density itself does not decay
+        if math.isinf(b - a) and nondecaying and growth is not None and growth >= -1.0:
+            return SeriesResult(math.inf, 0.0, panels)
+
+        def f(t):
+            return float(np.real(weight(t))) * float(dens(t))
+
+        try:
+            res = integrate(f, (a, b), rel_tol=max(rel_tol, 1e-12))
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                "density integral did not converge and no growth metadata proves divergence"
+            ) from exc
+        total += res.value
+        err += res.abs_error_estimate
+        panels += res.panels_used
+    return SeriesResult(total, err, panels)
+
+
 def spectral_integral(
     measure: SpectralMeasure,
     weight: Callable,
@@ -282,51 +367,7 @@ def spectral_integral(
     Without growth metadata a divergent tail surfaces as
     :class:`NonConvergenceError` ("did not converge") rather than a guess.
     """
-    if measure.variant == "discrete":
-        return math.fsum(float(np.real(weight(t))) * w for t, w in measure.atoms)
-
-    if measure.variant == "lattice":
-        if measure.lattice_weights is not None:
-            return math.fsum(
-                float(np.real(weight(float(n)))) * w
-                for n, w in sorted(measure.lattice_weights.items())
-            )
-        w0 = measure.uniform_weight
-        if w0 == 0.0:
-            return 0.0
-        if growth is not None and growth >= -1.0:
-            return math.inf
-
-        def term(n):
-            return w0 * np.real(weight(n))
-
-        try:
-            res = sum_lattice(term, measure.index_set, rel_tol=rel_tol)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                "lattice integral did not converge and no growth metadata proves divergence"
-            ) from exc
-        return float(np.real(res.value))
-
-    total = 0.0
-    dens = measure.density_at
-    desc = measure.density_desc
-    nondecaying = desc == "one" or (desc.startswith("const:") and float(desc[6:]) > 0)
-    for a, b in measure.support:
-        # the growth shortcut presumes the density itself does not decay
-        if math.isinf(b - a) and nondecaying and growth is not None and growth >= -1.0:
-            return math.inf
-
-        def f(t):
-            return float(np.real(weight(t))) * float(dens(t))
-
-        try:
-            total += integrate(f, (a, b), rel_tol=max(rel_tol, 1e-12)).value
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                "density integral did not converge and no growth metadata proves divergence"
-            ) from exc
-    return total
+    return _integral(measure, weight, rel_tol, growth).value
 
 
 def norm_phi_f(measure: SpectralMeasure, phi: Symbol,

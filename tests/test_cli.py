@@ -203,3 +203,38 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "constants", "--measure", single_atom,
                              "--phi", "pow:1", "--psi", "pow:2", "--tau-grid", "oops")
         assert code == EXIT_CONFIG
+
+
+class TestInputBoundary:
+    """Malformed or non-finite input exits 2 (configuration) or 3 (tau), never prints NaN."""
+
+    @pytest.mark.parametrize("measure", [
+        {"type": "discrete", "atoms": [{"t": math.nan, "w": 1.0}, {"t": 2.0, "w": 1.0}]},
+        {"type": "discrete", "atoms": [{"t": 1.0, "w": math.inf}, {"t": 2.0, "w": 1.0}]},
+        {"type": "lattice", "set": "Z", "weights": {"0": 1.0, "1": math.nan}},
+        {"type": "lattice", "set": "Z", "uniform": math.inf},
+        {"type": "density", "support": [[0.0, 1.0]], "density": math.nan},
+        {"type": "lattice", "set": "Z", "weights": {"1.5": 1.0}},
+        {"type": "lattice", "set": "Z", "weights": {"1": "heavy"}},
+        [1, 2],
+    ], ids=["nan-atom-t", "inf-atom-w", "nan-lattice-weight", "inf-uniform-weight",
+            "nan-constant-density", "fractional-lattice-key", "non-numeric-weight",
+            "json-array"])
+    def test_bad_measure_file(self, capsys, tmp_path, measure):
+        p = tmp_path / "measure.json"
+        p.write_text(json.dumps(measure))
+        code, out, err = run_cli(capsys, "constants", "--measure", str(p),
+                                 "--phi", "pow:1", "--psi", "pow:2", "--tau", "1")
+        assert code == EXIT_CONFIG
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--measure", "unit-lattice", "--tau", "inf"),
+        ("line", "--tau", "nan"),
+        ("line", "--tau", "inf"),
+        ("circle", "--tau", "nan"),
+    ], ids=["constants-inf", "line-nan", "line-inf", "circle-nan"])
+    def test_non_finite_tau(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--phi", "pow:1", "--psi", "pow:2")
+        assert code == EXIT_ADMISSIBILITY
+        assert out == ""
