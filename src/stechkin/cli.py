@@ -230,7 +230,7 @@ def cmd_extremal(args) -> int:
     measure = _load_measure(args.measure)
     phi, psi = parse_symbol(args.phi), parse_symbol(args.psi)
     x = core.extremal_element(measure, phi, psi, args.tau, rel_tol=rtol)
-    h = core.hormander_coefficient(measure, phi, psi, args.tau, rel_tol=rtol)
+    h = core.hormander_from_element(x, measure)
     payload = {
         "tau": x.tau,
         "N": x.constants.N, "M": x.constants.M, "E": x.constants.E,
@@ -301,7 +301,7 @@ def verify_extremal_suite(seed: int, count: int, tol: float = 1e-10):
         tau = float(rng.uniform(0.05, 20.0))
         measure = inst.measure()
         x = core.extremal_element(measure, inst.phi, inst.psi, tau)
-        h = core.hormander_coefficient(measure, inst.phi, inst.psi, tau)
+        h = core.hormander_from_element(x, measure)
         scale = max(x.functional_value, 1e-300)
         r1 = x.residual / scale
         combined = math.sqrt(x.norm_x ** 2 + tau * x.norm_psi_x ** 2)

@@ -251,11 +251,15 @@ def hormander_coefficient(measure: SpectralMeasure, phi: Symbol, psi: Symbol, ta
     The integral is the extremal element's functional value; it is
     cross-checked against N^2 + tau*M^2, which it must equal.
     """
-    x = extremal_element(measure, phi, psi, tau, rel_tol)
+    return hormander_from_element(extremal_element(measure, phi, psi, tau, rel_tol), measure)
+
+
+def hormander_from_element(x: ExtremalElement, measure: SpectralMeasure) -> float:
+    """:func:`hormander_coefficient` from an extremal element already built on ``measure``."""
     val = x.functional_value
     if math.isinf(val):
         return math.inf
-    combo = x.constants.N ** 2 + tau * x.constants.M ** 2
+    combo = x.constants.N ** 2 + x.tau * x.constants.M ** 2
     tol = 1e-6 if measure.variant != "discrete" else 1e-10
     if abs(val - combo) > tol * max(val, 1e-300):
         raise AdmissibilityError(

@@ -15,11 +15,20 @@ Four primitives used throughout the package:
 
 All routines are pure functions of their arguments and evaluate panels and
 blocks in a fixed order, so repeated calls are bit-for-bit reproducible.
+
+Integrands and lattice terms that accept a numpy array and return an array
+of its shape are called once per batch: :func:`integrate` once for its 8
+initial panels and once per split (22 nodes a panel), :func:`sum_lattice`
+once per block.  Scalar-only callables still work: when the array call
+raises or returns another shape, they are called once per point
+(quadrature nodes as numpy scalars, lattice indices as ints) and give the
+same bits as a per-point loop.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -34,10 +43,16 @@ DEFAULT_QUAD_RTOL = 1e-10
 DEFAULT_QUAD_ATOL = 1e-14
 DEFAULT_SERIES_RTOL = 1e-10
 DEFAULT_ROOT_RTOL = 1e-12
+# widest bracket solve_monotone probes
+_TAU_MIN = 1e-300
+_TAU_MAX = 1e300
 
 _GL_ORDER = 15
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _GL7_U, _GL7_W = np.polynomial.legendre.leggauss(7)
+# the GL15 and GL7 nodes share no point: a panel costs 22 integrand values
+_NODES = np.concatenate([_GL_U, _GL7_U])
+_WEIGHTS = np.concatenate([_GL_W, _GL7_W])
 
 
 @dataclass(frozen=True)
@@ -97,20 +112,52 @@ def _map_to_u(domain: Interval):
     return -1.0, 1.0, (lambda u: mid + half * u), (lambda u: half)
 
 
-def _panel(g, lo: float, hi: float):
-    """Evaluate one panel with GL15 and GL7; return (value, error, |value|)."""
+def _array_call(fn, x: np.ndarray) -> Optional[np.ndarray]:
+    """``fn(x)`` as an array of ``x``'s shape, or None when ``fn`` cannot take arrays.
+
+    A callable that raises on an array, or returns another shape (a scalar,
+    say), is left to its caller's per-element loop.
+    """
+    try:
+        out = np.asarray(fn(x))
+    except Exception:
+        return None
+    return out if out.shape == x.shape else None
+
+
+def _panels(integrand, t_of_u, jac, lo: np.ndarray, hi: np.ndarray, vectorized: bool):
+    """Evaluate panels [lo_i, hi_i] (in u) with GL15 and GL7 in one batch.
+
+    The batch is one array call of ``integrand`` when ``vectorized`` and the
+    call succeeds, else the per-node loop on numpy scalars.  Returns
+    (values, errors, |values|, vectorized).  Each panel's sums run over its
+    nodes in rule order (``np.add.accumulate`` is sequential), so a panel's
+    numbers do not depend on the batch it was evaluated in.
+    """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    v15 = 0.0
-    l1 = 0.0
-    for ui, wi in zip(_GL_U, _GL_W):
-        fx = g(c + h * ui)
-        v15 = v15 + wi * fx
-        l1 += wi * abs(fx)
-    v7 = 0.0
-    for ui, wi in zip(_GL7_U, _GL7_W):
-        v7 = v7 + wi * g(c + h * ui)
-    return h * v15, abs(h * (v15 - v7)), h * l1
+    u = (c[:, None] + h[:, None] * _NODES).ravel()
+    # the rational map divides by zero where a node rounds to u = +-1; the
+    # non-finite result is caught by the caller
+    with np.errstate(all="ignore"):
+        fx = _array_call(integrand, t_of_u(u)) if vectorized else None
+        if fx is not None:
+            fx = fx * jac(u)
+        else:
+            vectorized = False
+            fx = np.asarray([integrand(t_of_u(v)) * jac(v) for v in u])
+    fx = fx.reshape(len(lo), len(_NODES))
+    wf = fx * _WEIGHTS
+    v15 = np.add.accumulate(wf[:, :_GL_ORDER], axis=1)[:, -1]
+    v7 = np.add.accumulate(wf[:, _GL_ORDER:], axis=1)[:, -1]
+    l1 = np.add.accumulate(_GL_W * _abs(fx[:, :_GL_ORDER]), axis=1)[:, -1]
+    return h * v15, _abs(h * (v15 - v7)), h * l1, vectorized
+
+
+def _abs(x: np.ndarray) -> np.ndarray:
+    # np.abs of a complex array can differ in the last bit from abs() of a
+    # complex scalar, which is hypot; np.hypot keeps the scalar bits
+    return np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
 
 
 def integrate(
@@ -134,17 +181,24 @@ def integrate(
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
     u_lo, u_hi, t_of_u, jac = _map_to_u(domain)
+    panels = []  # entries: (err, lo, hi, value, l1)
+    vectorized = True
 
-    def g(u: float) -> Scalar:
-        return integrand(t_of_u(u)) * jac(u)
+    def add(lo: np.ndarray, hi: np.ndarray) -> None:
+        nonlocal vectorized
+        v, e, l1, vectorized = _panels(integrand, t_of_u, jac, lo, hi, vectorized)
+        # a non-finite node value makes its panel's error estimate non-finite,
+        # and no later split can repair it
+        if not np.isfinite(e).all():
+            raise NonConvergenceError(
+                f"quadrature met a non-finite integrand value on domain {domain}"
+            )
+        panels.extend(zip(e, lo, hi, v, l1))
 
     # initial split keeps the first pass symmetric around 0 for even maps
     n0 = 8
     edges = np.linspace(u_lo, u_hi, n0 + 1)
-    panels = []  # entries: (err, lo, hi, value, l1)
-    for i in range(n0):
-        v, e, l1 = _panel(g, edges[i], edges[i + 1])
-        panels.append((e, edges[i], edges[i + 1], v, l1))
+    add(edges[:-1], edges[1:])
 
     for _ in range(max_panels):
         total = sum(p[3] for p in panels)
@@ -157,9 +211,7 @@ def integrate(
         worst = max(range(len(panels)), key=lambda i: (panels[i][0], -panels[i][1]))
         _, lo, hi, _, _ = panels.pop(worst)
         mid = 0.5 * (lo + hi)
-        for a_, b_ in ((lo, mid), (mid, hi)):
-            v, e, l1p = _panel(g, a_, b_)
-            panels.append((e, a_, b_, v, l1p))
+        add(np.array([lo, mid]), np.array([mid, hi]))
     raise NonConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol:g} within {max_panels} panels "
         f"on domain {domain}"
@@ -170,16 +222,11 @@ def integrate(
 # lattice series
 
 
-def _try_vectorized(term, n_arr: np.ndarray):
+def _try_vectorized(term, n_arr: np.ndarray) -> np.ndarray:
     # feed float arrays: the callables are functions of a real variable, and
     # integer arrays would silently overflow under large powers
-    try:
-        out = np.asarray(term(n_arr.astype(float)))
-        if out.shape == n_arr.shape:
-            return out
-    except Exception:
-        pass
-    return np.asarray([term(int(k)) for k in n_arr])
+    out = _array_call(term, n_arr.astype(float))
+    return out if out is not None else np.asarray([term(int(k)) for k in n_arr])
 
 
 def sum_lattice(
@@ -274,11 +321,11 @@ def sum_lattice(
             value_scale = max(abs(current_value()), abs_tol)
             # cheap pre-check before paying for the tail integral
             if tail_mag <= 2.0 * rel_tol * value_scale:
-                def g_abs(x: float) -> float:
+                def g_abs(x):
                     v = abs(term(x))
                     if two_sided:
                         v = v + abs(term(-x))
-                    return float(v)
+                    return v
 
                 try:
                     tail = integrate(
@@ -314,6 +361,14 @@ def sum_lattice(
 # monotone root finding
 
 
+def _log_midpoint(lo: float, hi: float) -> float:
+    """sqrt(lo*hi), without over- or underflow on the widened brackets."""
+    prod = lo * hi
+    if sys.float_info.min <= prod < math.inf:
+        return math.sqrt(prod)
+    return math.sqrt(lo) * math.sqrt(hi)
+
+
 def solve_monotone(
     fn: Callable[[float], float],
     target: float,
@@ -324,12 +379,19 @@ def solve_monotone(
     """Solve fn(tau) = target for a continuous non-increasing ``fn`` on (0, inf).
 
     The bracket starts at [1e-8, 1] and the upper end doubles up to 1e12.
+    Only when that bracket misses the target does it widen further: the
+    lower end is squared toward 1e-300, or the upper end toward 1e300.
     Bisection runs in log-space until ``|fn(tau*) - target| <= rel_tol*target``.
     Raises :class:`TargetOutOfRangeError` naming the violated limit when the
     target is outside the probed range of ``fn``.
     """
+    hi = None
     lo = bracket_lo
     f_lo = fn(lo)
+    while f_lo < target and _TAU_MIN < lo < 1.0:
+        hi = lo
+        lo = max(lo * lo, _TAU_MIN)
+        f_lo = fn(lo)
     if f_lo < target:
         raise TargetOutOfRangeError(
             f"target {target:g} exceeds fn({lo:g}) = {f_lo:g}; the small-tau limit "
@@ -337,22 +399,27 @@ def solve_monotone(
             limit="small-tau",
             bound=f_lo,
         )
-    hi = 1.0
-    f_hi = fn(hi)
-    while f_hi > target and hi < bracket_hi_cap:
-        hi *= 2.0
+    if hi is None:
+        hi = 1.0
         f_hi = fn(hi)
-    if f_hi > target:
-        raise TargetOutOfRangeError(
-            f"target {target:g} is below fn({hi:g}) = {f_hi:g}; the large-tau limit "
-            "of fn stays above the target",
-            limit="large-tau",
-            bound=f_hi,
-        )
+        while f_hi > target and hi < bracket_hi_cap:
+            hi *= 2.0
+            f_hi = fn(hi)
+        while f_hi > target and 1.0 < hi < _TAU_MAX:
+            lo = hi
+            hi = min(hi * hi, _TAU_MAX)
+            f_hi = fn(hi)
+        if f_hi > target:
+            raise TargetOutOfRangeError(
+                f"target {target:g} is below fn({hi:g}) = {f_hi:g}; the large-tau limit "
+                "of fn stays above the target",
+                limit="large-tau",
+                bound=f_hi,
+            )
 
     best = None
     for _ in range(300):
-        mid = math.sqrt(lo * hi)
+        mid = _log_midpoint(lo, hi)
         f_mid = fn(mid)
         if abs(f_mid - target) <= rel_tol * abs(target):
             best = mid
@@ -364,7 +431,7 @@ def solve_monotone(
         if hi / lo - 1.0 < 1e-15:
             break
     if best is None:
-        best = math.sqrt(lo * hi)
+        best = _log_midpoint(lo, hi)
         if not abs(fn(best) - target) <= rel_tol * abs(target):
             raise NonConvergenceError(
                 "bisection bracket collapsed before |fn - target| met rel_tol; "

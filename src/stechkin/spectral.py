@@ -340,7 +340,7 @@ def _integral(
             return SeriesResult(math.inf, 0.0, panels)
 
         def f(t):
-            return float(np.real(weight(t))) * float(dens(t))
+            return np.real(weight(t)) * dens(t)
 
         try:
             res = integrate(f, (a, b), rel_tol=max(rel_tol, 1e-12))

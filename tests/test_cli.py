@@ -2,9 +2,11 @@
 
 import json
 import math
+import time
 
 import pytest
 
+from stechkin import core
 from stechkin.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_CONFIG,
@@ -162,6 +164,21 @@ class TestExtremal:
                 "functional_value", "residuals"} <= set(data)
 
 
+    def test_builds_the_element_once(self, capsys, two_atom, monkeypatch):
+        calls = []
+        integral = core.spectral_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integral(*args, **kwargs)
+
+        monkeypatch.setattr(core, "spectral_integral", counted)
+        code, _, _ = run_cli(capsys, "extremal", "--measure", two_atom,
+                             "--phi", "pow:1", "--psi", "pow:2", "--tau", "1")
+        assert code == EXIT_OK
+        assert len(calls) == 3  # N^2, M^2 and the functional value
+
+
 class TestVerify:
     def test_oracle_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--seed", "7",
@@ -238,3 +255,13 @@ class TestInputBoundary:
         code, out, _ = run_cli(capsys, *argv, "--phi", "pow:1", "--psi", "pow:2")
         assert code == EXIT_ADMISSIBILITY
         assert out == ""
+
+    def test_unresolvable_quadrature_exits_fast(self, capsys):
+        # the M^2 integrand decays like |t|^-1.5: refinement toward the end of the
+        # mapped interval reaches u = 1, where the map divides by zero
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "line", "--phi", "pow:0.25", "--psi", "pow:1",
+                                 "--tau", "1e-3")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == EXIT_NONCONVERGENCE
+        assert out == "" and "Traceback" not in err

@@ -124,6 +124,18 @@ class TestSolveTau:
             solve_tau(TWO_ATOM, POW1, POW2, 10.0)
         assert err.value.limit == "small-tau"
 
+    def test_target_needs_tau_below_1e_minus_8(self):
+        # N(tau) = 1e6/(1 + 1e24 tau) = 1e5 at tau = 9e-24
+        c = solve_tau(SpectralMeasure.discrete([(1e6, 1.0)]), POW1, POW2, 1e5)
+        assert c.tau == pytest.approx(9e-24, rel=1e-9)
+        assert c.N == pytest.approx(1e5, rel=1e-10)
+
+    def test_target_needs_tau_above_1e12(self):
+        # N(tau) = 5e-4/(1 + 6.25e-14 tau) = 2.5e-4 at tau = 1.6e13
+        c = solve_tau(SpectralMeasure.discrete([(5e-4, 1.0)]), POW1, POW2, 2.5e-4)
+        assert c.tau == pytest.approx(1.6e13, rel=1e-9)
+        assert c.N == pytest.approx(2.5e-4, rel=1e-10)
+
     def test_floor_from_psi_kernel(self):
         # psi vanishes at t = 0 where phi-mass sits: N can never drop below it
         m = SpectralMeasure.discrete([(0.0, 1.0), (1.0, 1.0)])

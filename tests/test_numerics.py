@@ -1,6 +1,7 @@
 """Quadrature, lattice summation, root finding and supremum search."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,12 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from stechkin import (
     NonConvergenceError,
+    Symbol,
     TargetOutOfRangeError,
     integrate,
+    line_constants,
+    line_extremal_functional,
     solve_monotone,
     sum_lattice,
     sup_search,
 )
+from stechkin import numerics
+from stechkin.spectral import weight
 
 INF = math.inf
 
@@ -70,6 +76,116 @@ class TestIntegrate:
         r = integrate(lambda t: (1 + 1j) * math.exp(-t * t), (-INF, INF))
         assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-11)
         assert r.value.imag == pytest.approx(math.sqrt(math.pi), rel=1e-11)
+
+    def test_nan_integrand_stops_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="non-finite"):
+            integrate(lambda x: math.nan, (-INF, INF))
+        assert time.perf_counter() - t0 < 1.0
+
+
+def _per_node_integrate(f, domain, rel_tol=1e-10, abs_tol=1e-14):
+    """Reference: the per-node loop ``integrate`` ran before panels were batched."""
+    u_lo, u_hi, t_of_u, jac = numerics._map_to_u(domain)
+
+    def g(u):
+        return f(t_of_u(u)) * jac(u)
+
+    def panel(lo, hi):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v15 = l1 = v7 = 0.0
+        for ui, wi in zip(numerics._GL_U, numerics._GL_W):
+            fx = g(c + h * ui)
+            v15 = v15 + wi * fx
+            l1 += wi * abs(fx)
+        for ui, wi in zip(numerics._GL7_U, numerics._GL7_W):
+            v7 = v7 + wi * g(c + h * ui)
+        return (abs(h * (v15 - v7)), lo, hi, h * v15, h * l1)
+
+    edges = np.linspace(u_lo, u_hi, 9)
+    panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    while True:
+        total = sum(p[3] for p in panels)
+        err = math.fsum(p[0] for p in panels)
+        l1 = math.fsum(p[4] for p in panels)
+        if err <= rel_tol * max(abs(total), 1e-3 * l1) + abs_tol:
+            return total, err, len(panels)
+        worst = max(range(len(panels)), key=lambda i: (panels[i][0], -panels[i][1]))
+        _, lo, hi, _, _ = panels.pop(worst)
+        mid = 0.5 * (lo + hi)
+        panels += [panel(lo, mid), panel(mid, hi)]
+
+
+class TestIntegrateBatches:
+    """Panels are evaluated as array calls, with a per-node fallback."""
+
+    @pytest.mark.parametrize("f, domain", [
+        (lambda t: math.exp(-t * t), (-INF, INF)),
+        (lambda t: float(t * t / (1 + t ** 4) ** 2), (-INF, INF)),
+        (lambda t: math.exp(-t), (0.0, INF)),
+        (lambda t: math.sqrt(abs(t)) * math.exp(t), (-INF, 1.0)),
+        (lambda t: 3 * float(t) ** 2, (0.0, 2.0)),
+        (lambda t: complex(math.cos(t), t) * math.exp(-t * t), (-INF, INF)),
+    ], ids=["gauss", "rational", "half-line", "left-half-line", "finite", "complex"])
+    def test_scalar_only_integrand_keeps_its_bits(self, f, domain):
+        r = integrate(f, domain)
+        assert (r.value, r.abs_error_estimate, r.panels_used) == _per_node_integrate(f, domain)
+
+    def test_scalar_only_integrand_falls_back(self):
+        seen = []
+
+        def f(t):
+            seen.append(type(t))
+            return math.exp(-t * t)  # raises TypeError on an array
+
+        r = integrate(f, (-INF, INF))
+        assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        # one array attempt, then today's per-node loop on numpy scalars
+        assert seen[0] is np.ndarray
+        assert set(seen[1:]) == {np.float64}
+        assert len(seen) == 1 + 22 * (r.panels_used + (r.panels_used - 8))
+
+    def test_complex_scalar_integrand(self):
+        # integral of exp(-s^2)/(1+s^2) ds = pi e erfc(1); the imaginary part is odd
+        g = line_extremal_functional(
+            Symbol.power(0), Symbol.power(1), 1.0,
+            lambda s: complex(math.exp(-s * s), s * math.exp(-s * s)),
+        )
+        assert g.real == pytest.approx(math.pi * math.e * math.erfc(1.0), rel=1e-9)
+        assert abs(g.imag) <= 1e-12
+
+    def test_wrong_shape_falls_back(self):
+        # an array argument gives a scalar: the batch is redone node by node
+        r = integrate(lambda t: float(np.mean(np.exp(-np.square(t)))), (-INF, INF))
+        assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+    def test_one_call_per_batch_on_lebesgue(self):
+        calls = []
+        w = weight(Symbol.power(1), Symbol.power(2), 1.0, 0, 2)
+
+        def f(t):
+            calls.append(t.shape)
+            return w(t)
+
+        r = integrate(f, (-INF, INF))
+        assert len(calls) == 1 + (r.panels_used - 8)
+        assert calls[0] == (8 * 22,) and set(calls[1:]) == {(2 * 22,)}
+
+    def test_array_path_matches_scalar_path(self, monkeypatch):
+        pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0.5, 2), (0.5, 1.5), (1.5, 3),
+                 (0, 1.5), (0.25, 1.5), (1, 2.5), (2, 4)]
+        taus = (1e-3, 0.1, 1.0, 10.0, 1e3)
+
+        def run():
+            return [line_constants(Symbol.power(a), Symbol.power(b), tau)
+                    for a, b in pairs for tau in taus]
+
+        fast = run()
+        monkeypatch.setattr(numerics, "_array_call", lambda fn, x: None)
+        slow = run()
+        for f, s in zip(fast, slow):
+            assert f.N_pt == pytest.approx(s.N_pt, rel=1e-14, abs=0.0)
+            assert f.E_pt == pytest.approx(s.E_pt, rel=1e-14, abs=0.0)
 
 
 class TestSumLattice:
@@ -143,6 +259,27 @@ class TestSolveMonotone:
         with pytest.raises(TargetOutOfRangeError) as err:
             solve_monotone(lambda t: 1.0 + 1 / (1 + t), 0.5)
         assert err.value.limit == "large-tau"
+
+    # at 1e200 the bisection midpoint sqrt(lo*hi) would underflow (overflow at 1e-200)
+    @pytest.mark.parametrize("scale", [1e24, 1e200])
+    def test_bracket_widens_below_1e_minus_8(self, scale):
+        fn = lambda t: 1.0 / (1.0 + scale * t)
+        assert solve_monotone(fn, 0.1) == pytest.approx(9.0 / scale, rel=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-200])
+    def test_bracket_widens_above_cap(self, scale):
+        fn = lambda t: 1.0 / (1.0 + scale * t)
+        assert solve_monotone(fn, 0.1) == pytest.approx(9.0 / scale, rel=1e-10)
+
+    def test_bracket_untouched_where_it_held(self):
+        probes = []
+
+        def fn(t):
+            probes.append(t)
+            return 1.0 / (1.0 + t)
+
+        solve_monotone(fn, 0.5)
+        assert probes[:2] == [1e-8, 1.0]
 
     @settings(max_examples=40, deadline=None)
     @given(tau_true=st.floats(1e-5, 1e5), scale=st.floats(0.1, 10))
