@@ -25,6 +25,7 @@ from .spectral import (
     Symbol,
     SpectralMeasure,
     _denom,
+    _finite_sum,
     _integral,
     check_admissibility,
     effective_growth,
@@ -134,11 +135,17 @@ def _setting_constants(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: 
     _require_l2(phi, psi, measure)
     n2 = _integral(measure, weight(phi, psi, tau, 0, 2), rel_tol, _growth(phi, psi, 2, False))
     m2 = _integral(measure, weight(phi, psi, tau, 1, 2), rel_tol, _growth(phi, psi, 2, True))
-    err = n2.tail_bound / max(2.0 * math.sqrt(max(n2.value, 1e-300)), 1e-300) \
-        + tau * m2.tail_bound / max(2.0 * math.sqrt(max(m2.value, 1e-300)), 1e-300)
-    return PointConstants(N_pt=math.sqrt(max(n2.value, 0.0)),
-                          E_pt=tau * math.sqrt(max(m2.value, 0.0)),
-                          tau=tau, truncation=n2.terms_used + m2.terms_used, tail_bound=err)
+    return _point_constants(tau, n2.value, n2.tail_bound, m2.value, m2.tail_bound,
+                            truncation=n2.terms_used + m2.terms_used)
+
+
+def _point_constants(tau: float, n2: float, n2_err: float, m2: float, m2_err: float,
+                     t: Optional[float] = None, truncation: Optional[int] = None) -> PointConstants:
+    """N and E = tau*M from N^2 and M^2, their errors carried by d sqrt(x) = dx / (2 sqrt x)."""
+    err = n2_err / max(2.0 * math.sqrt(max(n2, 1e-300)), 1e-300) \
+        + tau * m2_err / max(2.0 * math.sqrt(max(m2, 1e-300)), 1e-300)
+    return PointConstants(N_pt=math.sqrt(max(n2, 0.0)), E_pt=tau * math.sqrt(max(m2, 0.0)),
+                          tau=tau, t=t, truncation=truncation, tail_bound=err)
 
 
 def line_constants(phi: Symbol, psi: Symbol, tau: float,
@@ -221,21 +228,32 @@ def circle_extremal_functional(phi: Symbol, psi: Symbol, tau: float,
 # orthogonal polynomial expansions
 
 
-def _opoly_tail_exponents(phi: Symbol, psi: Symbol):
-    """Tail exponents of the two sums; requires decidable growth."""
-    g_phi = effective_growth(phi)
-    g_psi = effective_growth(psi)
-    if g_phi is None or g_psi is None:
+def _endpoint_growth(family: OrthogonalFamily, t: float) -> float:
+    """Growth exponent in n of F_n(t)^2 at a closed end of the interval, 0 elsewhere.
+
+    F_n(1)^2 ~ n^(2 alpha+1), F_n(-1)^2 ~ n^(2 beta+1) (Jacobi) and F_n(0)^2 ~ n^alpha
+    (Laguerre), from P_n^(alpha,beta)(1) = L_n^(alpha)(0) = binom(n+alpha, n) (Szego).
+    """
+    if family.kind == "jacobi" and abs(t) == 1.0:
+        return 2.0 * (family.alpha if t > 0 else family.beta) + 1.0
+    if family.kind == "laguerre" and t == 0.0:
+        return family.alpha
+    return 0.0
+
+
+def _opoly_tail_exponents(family: OrthogonalFamily, t: float, phi: Symbol, psi: Symbol):
+    """Raise unless the N^2 and M^2 terms decay faster than n^-1 (growth in n < -1)."""
+    expo_n, expo_e = _growth(phi, psi, 2, False), _growth(phi, psi, 2, True)
+    if expo_n is None or expo_e is None:
         raise AdmissibilityError("orthogonal-polynomial sums need symbol growth metadata")
-    gp = max(g_psi, 0.0)
-    expo_n = 2.0 * g_phi - 4.0 * gp          # |phi|^2 / (1+tau|psi|^2)^2
-    expo_e = 2.0 * g_phi + 2.0 * g_psi - 4.0 * gp  # |phi psi|^2 / (...)^2
-    if expo_e >= -1.0 and not psi.is_zero and not phi.is_zero:
+    g_f = _endpoint_growth(family, float(t))
+    expo_n, expo_e = expo_n + g_f, expo_e + g_f
+    if max(expo_n, expo_e) >= -1.0:
         raise AdmissibilityError(
-            "uniform-convergence condition fails: the weighted coefficient "
-            "sequence is not square-summable (need alpha_psi - alpha_phi > 1/2)"
+            "uniform-convergence condition fails: the weighted coefficient sequence is "
+            f"not square-summable (terms grow like n^{max(expo_n, expo_e):g} with F_n(t)^2 ~ "
+            f"n^{g_f:g}; power symbols need alpha_psi - alpha_phi > {(1.0 + g_f) / 2.0:g})"
         )
-    return expo_n, expo_e
 
 
 def _sym_tail(c2: float, g_num: float, g_psi: float, tau: float, n0: int) -> float:
@@ -260,6 +278,26 @@ def _sym_tail(c2: float, g_num: float, g_psi: float, tau: float, n0: int) -> flo
     return (c2 / tau ** 2) * n0 ** (expo + 1.0) / (-(expo + 1.0))
 
 
+def _cutoffs(family: OrthogonalFamily, t: float, max_n: int):
+    """The truncation loop of the expansion sums: (cutoff, F, c2) for cutoff = 64, 128, ..., max_n.
+
+    F holds F_0(t), ..., F_cutoff(t); c2 = (2 max |F_n(t)|)^2 over the last 33
+    degrees is the envelope the tail estimates take for F_n(t)^2 beyond the cutoff.
+    """
+    cutoff = 64
+    while True:
+        F = evaluate_all(family, cutoff, float(t))
+        yield cutoff, F, (2.0 * float(np.max(np.abs(F[max(0, cutoff - 32):])))) ** 2
+        if cutoff >= max_n:
+            return
+        cutoff = min(2 * cutoff, max_n)
+
+
+def _induced(F: np.ndarray) -> SpectralMeasure:
+    """The discrete measure with atoms (n, F_n(t)^2) from F = (F_0(t), ..., F_cutoff(t))."""
+    return SpectralMeasure.discrete(zip(range(len(F)), (F * F).tolist()))
+
+
 def opoly_constants(family: OrthogonalFamily, phi: Symbol, psi: Symbol, tau: float,
                     t: float, max_n: int = 10000,
                     rel_tol: float = 1e-8) -> PointConstants:
@@ -267,7 +305,8 @@ def opoly_constants(family: OrthogonalFamily, phi: Symbol, psi: Symbol, tau: flo
 
     N^2 = sum over n >= 0 of |phi(n) F_n(t)|^2 / (1 + tau |psi(n)|^2)^2,
     E analogous with the extra |psi(n)|^2 factor; the spectral measure is
-    discrete with atoms (n, F_n(t)^2).  The truncation grows until the
+    discrete with atoms (n, F_n(t)^2), and both sums are ``best_approx``'s
+    integrals on its truncation.  The truncation grows until the
     envelope tail bound falls below ``rel_tol`` or the ``max_n`` cap is
     reached; the reported ``tail_bound`` is authoritative either way (for
     slowly decaying pairs the oscillatory factor admits no integral
@@ -277,54 +316,36 @@ def opoly_constants(family: OrthogonalFamily, phi: Symbol, psi: Symbol, tau: flo
     lo, hi = family.interval()
     if not (lo <= t <= hi):
         raise ValueError("t outside the family interval")
-    _opoly_tail_exponents(phi, psi)  # raises when the sums cannot converge
+    _opoly_tail_exponents(family, t, phi, psi)  # raises when the sums cannot converge
     g_phi = effective_growth(phi)
     g_psi = max(effective_growth(psi), 0.0)
+    w_n, w_e = weight(phi, psi, tau, 0, 2), weight(phi, psi, tau, 1, 2)
 
-    cutoff = 64
-    while True:
-        n_arr = np.arange(0, cutoff + 1)
-        F = evaluate_all(family, cutoff, float(t))
-        phi_n = np.asarray([complex(phi(float(n))) for n in n_arr])
-        psi_n = np.asarray([complex(psi(float(n))) for n in n_arr])
-        den = (1.0 + tau * np.abs(psi_n) ** 2) ** 2
-        terms_n = np.abs(phi_n) ** 2 * F ** 2 / den
-        terms_e = np.abs(phi_n * psi_n) ** 2 * F ** 2 / den
-        n2 = math.fsum(terms_n.tolist())
-        e2 = math.fsum(terms_e.tolist())
+    for cutoff, F, c2_env in _cutoffs(family, t, max_n):
+        measure = _induced(F)
+        n2, e2 = _integral(measure, w_n).value, _integral(measure, w_e).value
+        del measure  # keep one cutoff's atoms alive at a time
 
-        # envelope: recent |F_n(t)| values bound the tail factor; the power
-        # tail of the symbols does the rest
-        window = np.abs(F[max(0, cutoff - 32):])
-        c2_env = (2.0 * float(np.max(window))) ** 2 if window.size else 0.0
+        # the envelope bounds the tail factor F_n(t)^2; the power tail of the
+        # symbols does the rest
         if phi.is_zero:
             tail_n = tail_e = 0.0
         else:
             tail_n = _sym_tail(c2_env, g_phi, g_psi, tau, cutoff)
             tail_e = 0.0 if psi.is_zero else _sym_tail(c2_env, g_phi + g_psi, g_psi, tau, cutoff)
-            if psi.is_zero and math.isinf(tail_n):
-                raise AdmissibilityError(
-                    "with psi = 0 the coefficient sum needs a decaying phi for convergence"
-                )
 
-        ok_n = tail_n <= rel_tol * max(n2, 1e-300)
-        ok_e = tail_e <= rel_tol * max(e2, 1e-300)
-        if (ok_n and ok_e) or cutoff >= max_n:
+        if (tail_n <= rel_tol * max(n2, 1e-300) and tail_e <= rel_tol * max(e2, 1e-300)) \
+                or cutoff >= max_n:
             if math.isinf(tail_n) or math.isinf(tail_e):
                 raise NonConvergenceError(
                     f"orthogonal expansion shows no bounded tail at the {max_n}-term cap"
                 )
-            tail = tail_n / max(2.0 * math.sqrt(max(n2, 1e-300)), 1e-300) + \
-                tau * tail_e / max(2.0 * math.sqrt(max(e2, 1e-300)), 1e-300)
-            return PointConstants(N_pt=math.sqrt(n2), E_pt=tau * math.sqrt(e2), tau=tau,
-                                  t=float(t), truncation=cutoff, tail_bound=tail)
-        cutoff = min(2 * cutoff, max_n)
+            return _point_constants(tau, n2, tail_n, e2, tail_e, t=float(t), truncation=cutoff)
 
 
 def induced_measure(family: OrthogonalFamily, t: float, cutoff: int) -> SpectralMeasure:
     """Discrete measure with atoms (n, F_n(t)^2), n = 0..cutoff."""
-    F = evaluate_all(family, cutoff, float(t))
-    return SpectralMeasure.discrete([(float(n), float(F[n] ** 2)) for n in range(cutoff + 1)])
+    return _induced(evaluate_all(family, cutoff, float(t)))
 
 
 def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol,
@@ -338,40 +359,24 @@ def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol
     with square-summable values (truncated under the envelope policy).
     """
     _require_tau(tau)
+    d = _denom(psi, tau)
+    coefficient = lambda s: phi(s) / d(s)
 
     if isinstance(x_coeffs, Mapping):
-        if not x_coeffs:
-            return 0.0
-        top = max(x_coeffs)
-        F = evaluate_all(family, top, float(t))
-        return float(np.real(math.fsum(
-            np.real(complex(phi(float(n))) * x_coeffs[n] * F[n]
-                    / (1.0 + tau * abs(complex(psi(float(n)))) ** 2))
-            for n in sorted(x_coeffs)
-        )))
+        F = evaluate_all(family, max(x_coeffs, default=0), float(t))
+        return _finite_sum(coefficient, [(float(n), x_coeffs[n] * F[n]) for n in sorted(x_coeffs)])
 
-    g_phi = effective_growth(phi)
-    g_psi_raw = effective_growth(psi)
-    if g_phi is None or g_psi_raw is None:
+    g_phi, g_psi = effective_growth(phi), effective_growth(psi)
+    if g_phi is None or g_psi is None:
         raise AdmissibilityError("truncation policy needs symbol growth metadata")
-    g_psi = max(g_psi_raw, 0.0)
 
-    cutoff = 64
-    while True:
-        n_arr = np.arange(0, cutoff + 1)
-        F = evaluate_all(family, cutoff, float(t))
-        terms = [
-            float(np.real(complex(phi(float(n))) * float(x_coeffs(int(n))) * F[n]
-                          / (1.0 + tau * abs(complex(psi(float(n)))) ** 2)))
-            for n in n_arr
-        ]
-        val = math.fsum(terms)
+    for cutoff, F, c2_env in _cutoffs(family, t, max_n):
+        x = np.asarray([float(x_coeffs(n)) for n in range(cutoff + 1)])
+        val = _finite_sum(coefficient, [(float(n), v) for n, v in enumerate((x * F).tolist())])
         # Cauchy-Schwarz split: |tail| <= {sym tail}^(1/2) * x-envelope * sqrt(window)
-        window_F = np.abs(np.asarray(F[max(0, cutoff - 32):]))
-        c2_env = (2.0 * float(np.max(window_F))) ** 2 if window_F.size else 0.0
-        x_win = [abs(float(x_coeffs(int(n)))) for n in range(max(0, cutoff - 32), cutoff + 1)]
-        x_env = 2.0 * max(x_win) if x_win else 0.0
-        sym2 = _sym_tail(c2_env, g_phi, g_psi, tau, cutoff)  # tail of |phi F/(1+tau psi^2)|^2
+        x_env = 2.0 * float(np.max(np.abs(x[max(0, cutoff - 32):])))
+        # tail of |phi F / (1 + tau |psi|^2)|^2
+        sym2 = _sym_tail(c2_env, g_phi, max(g_psi, 0.0), tau, cutoff)
         tail = math.inf if math.isinf(sym2) else x_env * math.sqrt(sym2) * math.sqrt(cutoff)
         if x_env == 0.0 or tail <= rel_tol * max(abs(val), 1e-12):
             return val
@@ -379,4 +384,3 @@ def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol
             raise NonConvergenceError(
                 f"extremal-functional sum not converged at the {max_n}-term cap"
             )
-        cutoff = min(2 * cutoff, max_n)

@@ -31,6 +31,7 @@ from .spectral import (
     SpectralMeasure,
     Symbol,
     _denom,
+    _integral,
     effective_growth,
     norm_phi_f,
     power_ratio_sup,
@@ -70,11 +71,7 @@ class ExtremalElement:
     _psi: Symbol = field(default=None, repr=False)
 
     def coefficient(self, t):
-        return np.conjugate(self._phi(t)) / (1.0 + self._tau_abs_psi2(t))
-
-    def _tau_abs_psi2(self, t):
-        v = self._psi(t)
-        return self.tau * (np.abs(v) ** 2 if isinstance(v, np.ndarray) else abs(v) ** 2)
+        return np.conjugate(self._phi(t)) / _denom(self._psi, self.tau)(t)
 
 
 @dataclass(frozen=True)
@@ -157,23 +154,13 @@ def best_approx(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
 
 def _psi_kernel_mass(measure: SpectralMeasure, phi: Symbol, psi: Symbol) -> float:
     """Mass of |phi|^2 dmu carried by points where psi vanishes exactly."""
-    if measure.variant == "discrete":
-        return math.fsum(
-            abs(phi(t)) ** 2 * w for t, w in measure.atoms if abs(psi(t)) == 0.0
-        )
-    if measure.variant == "lattice":
-        total = 0.0
-        if measure.lattice_weights is not None:
-            items = sorted(measure.lattice_weights.items())
-        else:
-            # only finitely many lattice points can null a nonzero analytic symbol;
-            # n = 0 is the one that matters for power symbols
-            items = [(0, measure.uniform_weight)]
-        for n, w in items:
-            if abs(psi(float(n))) == 0.0:
-                total += abs(phi(float(n))) ** 2 * w
-        return total
-    return 0.0  # densities: symbol zero sets carry no mass
+    if measure.variant == "density":
+        return 0.0  # densities: symbol zero sets carry no mass
+    if measure.variant == "lattice" and measure.lattice_weights is None:
+        # only finitely many lattice points can null a nonzero analytic symbol;
+        # n = 0 is the one that matters for power symbols
+        measure = SpectralMeasure.discrete([(0.0, measure.uniform_weight)])
+    return _integral(measure, lambda t: np.where(np.abs(psi(t)) == 0.0, phi.abs2(t), 0.0)).value
 
 
 def solve_tau(measure: SpectralMeasure, phi: Symbol, psi: Symbol, N_target: float,

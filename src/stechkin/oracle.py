@@ -184,7 +184,7 @@ def brute_force_best_approx(instance: DiagonalInstance, N_budget: float,
             lo = lam
         else:
             hi = lam
-        if hi - lo <= 1e-16 * max(hi, 1.0):
+        if hi - lo <= 1e-16 * hi:
             lam = 0.5 * (lo + hi)
             break
 

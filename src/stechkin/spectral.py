@@ -191,21 +191,11 @@ class SpectralMeasure:
             return np.ones_like(t, dtype=float) if isinstance(t, np.ndarray) else 1.0
         return self.density_fn(t)
 
-    def lattice_weight_at(self, n):
-        if self.lattice_weights is not None:
-            if isinstance(n, np.ndarray):
-                return np.asarray([self.lattice_weights.get(int(k), 0.0) for k in n])
-            return self.lattice_weights.get(int(n), 0.0)
-        w = self.uniform_weight
-        return np.full_like(n, w, dtype=float) if isinstance(n, np.ndarray) else w
-
     def total_mass(self) -> float:
         """Total measure mass; may be +inf (allowed for density / uniform lattice)."""
-        if self.variant == "discrete":
-            return math.fsum(w for _, w in self.atoms)
+        if self.variant == "discrete" or self.lattice_weights is not None:
+            return _integral(self, np.ones_like).value
         if self.variant == "lattice":
-            if self.lattice_weights is not None:
-                return math.fsum(self.lattice_weights.values())
             return math.inf if self.uniform_weight > 0 else 0.0
         mass = 0.0
         for a, b in self.support:
@@ -295,6 +285,32 @@ def weight(phi: Symbol, psi: Symbol, tau: float, psi_power: int, denom_power: in
     return lambda t: phi.abs2(t) / d(t) ** denom_power
 
 
+def _finite_sum(weight: Callable, points) -> float:
+    """fsum of weight(t) * w over the (t, w) pairs, the weight called once on all t.
+
+    Fewer than 8 points, a weight that cannot take the array, or one that
+    gives a non-finite value on it, get a per-point loop.
+    """
+    if len(points) >= 8:  # below that numpy's fixed cost per call exceeds the loop's
+        t, w = np.asarray(points, dtype=float).T
+        with np.errstate(all="ignore"):
+            vals = numerics._array_call(weight, t)
+        if vals is not None and np.isfinite(vals).all():
+            return math.fsum((np.real(vals) * w).tolist())
+    return math.fsum(float(np.real(weight(p))) * w for p, w in points)
+
+
+def _not_converged(what: str, growth: Optional[float], exc: Exception) -> NonConvergenceError:
+    """The error for a sum or integral that failed numerically, saying what growth tells."""
+    if growth is None:
+        known = "no growth metadata decides whether it is finite"
+    elif growth < -1.0:
+        known = f"the weight's growth exponent {growth:g} < -1 makes its tail finite"
+    else:  # only densities that decay themselves get here
+        known = f"the weight's growth exponent {growth:g} decides nothing against this density"
+    return NonConvergenceError(f"{what} did not converge ({exc}); {known}")
+
+
 def _integral(
     measure: SpectralMeasure,
     weight: Callable,
@@ -302,16 +318,13 @@ def _integral(
     growth: Optional[float] = None,
 ) -> SeriesResult:
     """:func:`spectral_integral` with its error bound and its term (or panel) count."""
-    if measure.variant == "discrete":
-        return SeriesResult(math.fsum(float(np.real(weight(t))) * w for t, w in measure.atoms),
-                            0.0, len(measure.atoms))
+    if measure.variant == "discrete" or measure.lattice_weights is not None:
+        # atoms in their order, finite lattice points in index order
+        points = measure.atoms if measure.variant == "discrete" else [
+            (float(n), w) for n, w in sorted(measure.lattice_weights.items())]
+        return SeriesResult(_finite_sum(weight, points), 0.0, len(points))
 
     if measure.variant == "lattice":
-        if measure.lattice_weights is not None:
-            return SeriesResult(math.fsum(
-                float(np.real(weight(float(n)))) * w
-                for n, w in sorted(measure.lattice_weights.items())
-            ), 0.0, len(measure.lattice_weights))
         w0 = measure.uniform_weight
         if w0 == 0.0:
             return SeriesResult(0.0, 0.0, 0)
@@ -324,9 +337,7 @@ def _integral(
         try:
             res = sum_lattice(term, measure.index_set, rel_tol=rel_tol)
         except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                "lattice integral did not converge and no growth metadata proves divergence"
-            ) from exc
+            raise _not_converged("lattice sum", growth, exc) from exc
         return SeriesResult(float(np.real(res.value)), res.tail_bound, res.terms_used)
 
     total = err = 0.0
@@ -345,9 +356,7 @@ def _integral(
         try:
             res = integrate(f, (a, b), rel_tol=max(rel_tol, 1e-12))
         except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                "density integral did not converge and no growth metadata proves divergence"
-            ) from exc
+            raise _not_converged("density integral", growth, exc) from exc
         total += res.value
         err += res.abs_error_estimate
         panels += res.panels_used
@@ -461,9 +470,7 @@ def check_admissibility(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> A
         ess = math.sqrt(sup.value) if holds else math.inf
 
     l2: Optional[bool]
-    if measure.variant == "discrete" or (
-        measure.variant == "lattice" and measure.lattice_weights is not None
-    ):
+    if measure.variant == "discrete" or measure.lattice_weights is not None:
         l2 = None
         notes.append("l2 condition not applicable to finitely supported measures")
     else:

@@ -15,6 +15,7 @@ from stechkin import (
     circle_constants,
     circle_extremal_functional,
     evaluate,
+    evaluate_all,
     induced_measure,
     line_constants,
     line_extremal_functional,
@@ -243,3 +244,115 @@ class TestOpolyExtremalFunctional:
         )
         got = opoly_extremal_functional(LEGENDRE, POW1, POW2, 1.0, 0.2, coeffs)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+FAMILIES = [
+    (OrthogonalFamily.hermite(), 0.3),
+    (OrthogonalFamily.laguerre(0.0), 3.1),
+    (OrthogonalFamily.laguerre(0.5), 0.37),
+    (OrthogonalFamily.jacobi(0.0, 0.0), 0.3),
+    (OrthogonalFamily.jacobi(0.5, -0.3), -0.6),
+]
+BENCH_PAIRS = [(1, 2), (2, 3), (1, 3), (0, 2), (2, 4), (0, 2.5)]
+
+
+def per_degree_sums(family, phi, psi, tau, t, cutoff):
+    """The expansion sums N^2 and M^2 with one symbol call per degree."""
+    F = evaluate_all(family, cutoff, t)
+    phi_n = np.asarray([complex(phi(float(n))) for n in range(cutoff + 1)])
+    psi_n = np.asarray([complex(psi(float(n))) for n in range(cutoff + 1)])
+    den = (1.0 + tau * np.abs(psi_n) ** 2) ** 2
+    n2 = math.fsum((np.abs(phi_n) ** 2 * F ** 2 / den).tolist())
+    m2 = math.fsum((np.abs(phi_n * psi_n) ** 2 * F ** 2 / den).tolist())
+    return n2, m2
+
+
+class TestOpolyOneRoute:
+    """N^2 and M^2 of the expansion are _integral sums on the induced measure."""
+
+    @pytest.mark.parametrize("family, t", FAMILIES, ids=lambda v: getattr(v, "kind", v))
+    def test_equals_best_approx_on_induced_measure(self, family, t):
+        for tau in (0.05, 1.3):
+            pc = opoly_constants(family, POW1, POW2, tau, t, max_n=2048)
+            c = best_approx(induced_measure(family, t, pc.truncation), POW1, POW2, tau)
+            assert pc.N_pt == c.N
+            assert pc.E_pt == c.E
+
+    @pytest.mark.parametrize("family, t", FAMILIES, ids=lambda v: getattr(v, "kind", v))
+    def test_matches_per_degree_formula(self, family, t):
+        for k, r in BENCH_PAIRS:
+            phi, psi = Symbol.power(k), Symbol.power(r)
+            for tau in (0.01, 1.0, 100.0):
+                pc = opoly_constants(family, phi, psi, tau, t, max_n=1024)
+                n2, m2 = per_degree_sums(family, phi, psi, tau, t, pc.truncation)
+                assert abs(pc.N_pt - math.sqrt(n2)) <= 1e-15 * math.sqrt(n2)
+                assert abs(pc.E_pt - tau * math.sqrt(m2)) <= 1e-15 * tau * math.sqrt(m2)
+
+    def test_symbols_are_called_per_cutoff_not_per_degree(self):
+        calls = []
+
+        def fn(t):
+            calls.append(np.size(t))
+            return np.asarray(t, dtype=float) ** 2
+
+        psi = Symbol.custom(fn, growth_order=2.0)
+        pc = opoly_constants(HERMITE, POW1, psi, 1.0, 0.3)
+        cutoffs = int(math.log2(pc.truncation / 64)) + 1 if pc.truncation > 64 else 1
+        assert len(calls) <= 4 * cutoffs < pc.truncation
+        calls.clear()
+        opoly_extremal_functional(HERMITE, POW1, psi, 1.0, 0.3, lambda n: 1.0 / (1.0 + n * n))
+        assert 0 < len(calls) <= 4 * cutoffs
+
+    def test_extremal_functional_shares_the_truncation_loop(self, monkeypatch):
+        from stechkin import applications
+
+        seen = []
+        loop = applications._cutoffs
+
+        def recording(*args):
+            for step in loop(*args):
+                seen.append(step[0])
+                yield step
+
+        monkeypatch.setattr(applications, "_cutoffs", recording)
+        pc = opoly_constants(HERMITE, POW1, POW2, 1.0, 0.5)
+        assert seen[0] == 64 and seen[-1] == pc.truncation
+        seen.clear()
+        opoly_extremal_functional(HERMITE, POW1, POW2, 1.0, 0.5, lambda n: 1.0 / (1.0 + n * n))
+        assert seen and seen[0] == 64
+
+
+class TestOpolyEndpoints:
+    """At a closed end of the interval F_n(t)^2 grows, and the exponent check counts it."""
+
+    @pytest.mark.parametrize("family, t, growth", [
+        (OrthogonalFamily.jacobi(0.5, -0.3), 1.0, 2.0),
+        (OrthogonalFamily.jacobi(0.5, -0.3), -1.0, 0.4),
+        (OrthogonalFamily.laguerre(0.5), 0.0, 0.5),
+        (OrthogonalFamily.laguerre(0.0), 0.0, 0.0),
+        (OrthogonalFamily.jacobi(0.5, -0.3), 0.3, 0.0),
+    ])
+    def test_endpoint_growth_matches_the_recurrence(self, family, t, growth):
+        from stechkin.applications import _endpoint_growth
+
+        assert _endpoint_growth(family, t) == pytest.approx(growth, abs=1e-15)
+        if t in (-1.0, 0.0, 1.0):
+            F = evaluate_all(family, 8000, t)
+            ratio = (F[8000] ** 2 / 8000 ** growth) / (F[2000] ** 2 / 2000 ** growth)
+            assert ratio == pytest.approx(1.0, abs=2e-3)
+
+    def test_divergent_jacobi_endpoint_rejected(self):
+        with pytest.raises(AdmissibilityError):
+            opoly_constants(OrthogonalFamily.jacobi(0.5, -0.3), POW1, POW2, 1.0, 1.0)
+
+    def test_divergent_laguerre_origin_rejected(self):
+        # 2 + 3.5 - 7 = -1.5 inside, -1.5 + alpha = -1 at t = 0
+        psi = Symbol.power(1.75)
+        lag = OrthogonalFamily.laguerre(0.5)
+        opoly_constants(lag, POW1, psi, 1.0, 0.3, max_n=256)
+        with pytest.raises(AdmissibilityError):
+            opoly_constants(lag, POW1, psi, 1.0, 0.0)
+
+    def test_convergent_endpoint_keeps_the_estimate(self):
+        pc = opoly_constants(OrthogonalFamily.jacobi(0.5, -0.3), POW1, POW2, 1.0, -1.0)
+        assert math.isfinite(pc.tail_bound) and pc.N_pt > 0.0 and pc.E_pt > 0.0

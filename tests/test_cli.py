@@ -265,3 +265,28 @@ class TestInputBoundary:
         assert time.perf_counter() - t0 < 5.0
         assert code == EXIT_NONCONVERGENCE
         assert out == "" and "Traceback" not in err
+
+
+class TestExpansionEndpoints:
+    def test_divergent_endpoint_series_exits_admissibility(self, capsys):
+        code, out, err = run_cli(capsys, "opoly", "--family", "jacobi", "--alpha", "0.5",
+                                 "--beta", "-0.3", "--t", "1", "--phi", "pow:1",
+                                 "--psi", "pow:2", "--tau", "1")
+        assert code == EXIT_ADMISSIBILITY
+        assert out == "" and "Traceback" not in err
+
+
+class TestNonConvergenceMessage:
+    def test_known_growth_is_not_blamed_on_metadata(self, capsys):
+        code, out, err = run_cli(capsys, "line", "--phi", "pow:0.25", "--psi", "pow:1",
+                                 "--tau", "1e-3")
+        assert code == EXIT_NONCONVERGENCE
+        assert "metadata" not in err
+        assert "growth exponent -1.5 < -1" in err
+
+    def test_missing_metadata_is_named(self):
+        from stechkin.errors import NonConvergenceError
+        from stechkin.spectral import SpectralMeasure, _integral
+
+        with pytest.raises(NonConvergenceError, match="no growth metadata"):
+            _integral(SpectralMeasure.density(), lambda t: math.nan * t)

@@ -99,6 +99,17 @@ class TestBruteForce:
         assert e2 <= e1 + 1e-12
 
 
+    def test_bisection_stop_is_relative(self):
+        # the multiplier is 4e-24 here, far below an absolute 1e-16 stopping width
+        inst = DiagonalInstance(locations=(1e6,), weights=(1.0,), phi=POW1, psi=POW2)
+        tau = 4e-24
+        c = best_approx(inst.measure(), POW1, POW2, tau)
+        res = brute_force_best_approx(inst, c.N, audit=False)
+        assert res.lagrange_multiplier == pytest.approx(tau, rel=1e-12)
+        assert res.E == pytest.approx(c.E, rel=1e-12)
+        assert verify_theorems(inst, tau).parametric <= 1e-12
+
+
 class TestVerifyTheorems:
     def test_single_atom_residuals_zero(self):
         res = verify_theorems(ONE, 1.0)

@@ -16,6 +16,7 @@ from stechkin import (
     parse_symbol,
     spectral_integral,
 )
+from stechkin.spectral import _integral, weight
 
 INF = math.inf
 
@@ -204,3 +205,87 @@ class TestAdmissibility:
         rep = check_admissibility(Symbol.power(1), Symbol.power(2),
                                   SpectralMeasure.discrete([(1, 1)]))
         assert rep.l2_condition_holds is None
+
+
+def per_atom_sum(measure, w):
+    """Reference: one weight call per atom, in atom (or sorted index) order."""
+    points = measure.atoms if measure.variant == "discrete" else [
+        (float(n), c) for n, c in sorted(measure.lattice_weights.items())]
+    return math.fsum(float(np.real(w(t))) * c for t, c in points)
+
+
+class TestFiniteSupportRoute:
+    """Discrete atoms and finite lattices: one array call of the weight, then fsum."""
+
+    RNG = np.random.default_rng(7)
+    ATOMS = SpectralMeasure.discrete(
+        [(float(n), float(c)) for n, c in enumerate(RNG.uniform(0.1, 2.0, 3_001))])
+    LATTICE = SpectralMeasure.lattice(
+        "Z", weights={n: float(c) for n, c in zip(range(-300, 301), RNG.uniform(0.0, 1.0, 601))})
+
+    @pytest.mark.parametrize("measure", [ATOMS, LATTICE], ids=["discrete", "lattice"])
+    @pytest.mark.parametrize("a, b", [(a, b) for a in range(4) for b in range(4)])
+    def test_integer_powers_bit_equal_to_per_atom_loop(self, measure, a, b):
+        for tau in (1e-3, 1.0, 7.3):
+            for p, q in ((0, 2), (1, 2), (0, 1)):
+                w = weight(Symbol.power(a), Symbol.power(b), tau, p, q)
+                res = _integral(measure, w)
+                assert res.value == per_atom_sum(measure, w)
+                assert res.tail_bound == 0.0
+
+    @pytest.mark.parametrize("measure", [ATOMS, LATTICE], ids=["discrete", "lattice"])
+    @pytest.mark.parametrize("a, b", [(2.5, 4), (1, 5), (0.5, 2.5), (4, 5)])
+    def test_other_powers_within_1e_15(self, measure, a, b):
+        # numpy's power differs from libm's pow in the last bit at some points
+        for tau in (1e-3, 1.0, 7.3):
+            for p, q in ((0, 2), (1, 2), (0, 1)):
+                w = weight(Symbol.power(a), Symbol.power(b), tau, p, q)
+                want = per_atom_sum(measure, w)
+                assert abs(_integral(measure, w).value - want) <= 1e-15 * want
+
+    # enough atoms for the array call: smaller measures always take the per-atom loop
+    TEN = SpectralMeasure.discrete([(0.5 * k - 2.2, 1.0 + 0.1 * k) for k in range(10)])
+
+    def test_scalar_only_custom_symbol(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return math.exp(-abs(t))  # raises on arrays of more than one point
+
+        w = weight(Symbol.custom(fn, growth_order=0.0), Symbol.power(1), 2.0, 0, 2)
+        got = _integral(self.TEN, w).value
+        assert got == per_atom_sum(self.TEN, w)
+        assert all(isinstance(t, float) for t in calls[-10:])
+
+    def test_complex_custom_symbol(self):
+        sizes = []
+
+        def fn(t):
+            sizes.append(np.size(t))
+            return t * (1.0 + 2.0j)
+
+        w = weight(Symbol.custom(fn, growth_order=1.0), Symbol.power(2), 1.0, 1, 2)
+        got = _integral(self.TEN, w).value
+        assert sizes == [10]
+        assert got == pytest.approx(per_atom_sum(self.TEN, w), rel=1e-15)
+        assert got == pytest.approx(math.fsum(
+            5.0 * t * t * t ** 4 / (1.0 + t ** 4) ** 2 * c for t, c in self.TEN.atoms), rel=1e-15)
+
+    def test_table_symbol_on_finite_lattice(self):
+        phi = Symbol.from_table({-1: 2.0, 0: 1.0, 3: 1.0 - 1.0j})
+        m = SpectralMeasure.lattice("Z", weights={-1: 0.5, 0: 1.0, 2: 4.0, 3: 2.0, 4: 1.0,
+                                                  5: 1.0, 6: 1.0, 7: 1.0})
+        w = weight(phi, Symbol.power(1), 1.0, 0, 2)
+        assert _integral(m, w).value == per_atom_sum(m, w)
+        assert _integral(m, w).value == pytest.approx(0.5 + 1.0 + 2.0 * 2.0 / 100.0, rel=1e-15)
+
+    def test_weight_non_finite_on_the_array_falls_back(self):
+        def w(t):
+            return np.full(np.shape(t), np.nan) if isinstance(t, np.ndarray) else t * t
+
+        assert _integral(self.TEN, w).value == math.fsum(t * t * c for t, c in self.TEN.atoms)
+
+    def test_empty_measures(self):
+        assert _integral(SpectralMeasure.discrete([]), np.ones_like).value == 0.0
+        assert _integral(SpectralMeasure.lattice("Z", weights={}), np.ones_like).value == 0.0
