@@ -295,7 +295,7 @@ def _cutoffs(family: OrthogonalFamily, t: float, max_n: int):
 
 def _induced(F: np.ndarray) -> SpectralMeasure:
     """The discrete measure with atoms (n, F_n(t)^2) from F = (F_0(t), ..., F_cutoff(t))."""
-    return SpectralMeasure.discrete(zip(range(len(F)), (F * F).tolist()))
+    return SpectralMeasure.discrete(np.column_stack((np.arange(len(F)), F * F)))
 
 
 def opoly_constants(family: OrthogonalFamily, phi: Symbol, psi: Symbol, tau: float,
@@ -363,8 +363,9 @@ def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol
     coefficient = lambda s: phi(s) / d(s)
 
     if isinstance(x_coeffs, Mapping):
-        F = evaluate_all(family, max(x_coeffs, default=0), float(t))
-        return _finite_sum(coefficient, [(float(n), x_coeffs[n] * F[n]) for n in sorted(x_coeffs)])
+        n = sorted(x_coeffs)
+        F = evaluate_all(family, max(n, default=0), float(t))
+        return _finite_sum(coefficient, np.array(n, float), np.array([x_coeffs[k] * F[k] for k in n]))
 
     g_phi, g_psi = effective_growth(phi), effective_growth(psi)
     if g_phi is None or g_psi is None:
@@ -372,7 +373,7 @@ def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol
 
     for cutoff, F, c2_env in _cutoffs(family, t, max_n):
         x = np.asarray([float(x_coeffs(n)) for n in range(cutoff + 1)])
-        val = _finite_sum(coefficient, [(float(n), v) for n, v in enumerate((x * F).tolist())])
+        val = _finite_sum(coefficient, np.arange(len(F), dtype=float), x * F)
         # Cauchy-Schwarz split: |tail| <= {sym tail}^(1/2) * x-envelope * sqrt(window)
         x_env = 2.0 * float(np.max(np.abs(x[max(0, cutoff - 32):])))
         # tail of |phi F / (1 + tau |psi|^2)|^2

@@ -40,7 +40,7 @@ from .errors import (
     VerificationError,
 )
 from .orthopoly import OrthogonalFamily, gram_matrix, ode_residual
-from .spectral import SpectralMeasure, parse_symbol
+from .spectral import SpectralMeasure, Symbol, parse_symbol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,18 +155,16 @@ def cmd_constants(args) -> int:
     rtol = _default_rtol(args)
     measure = _load_measure(args.measure)
     phi, psi = parse_symbol(args.phi), parse_symbol(args.psi)
+    header = ("tau", "N", "M", "E", "rel_tol")
+    def row(tau):
+        c = core.best_approx(measure, phi, psi, tau, rel_tol=rtol)
+        return c.tau, c.N, c.M, c.E, rtol
     if args.tau_grid:
-        def row(tau):
-            c = core.best_approx(measure, phi, psi, tau, rel_tol=rtol)
-            return c.tau, c.N, c.M, c.E, rtol
-        return _emit_sweep(args, ("tau", "N", "M", "E", "rel_tol"), row)
-    c = core.best_approx(measure, phi, psi, args.tau, rel_tol=rtol)
-    payload = {"tau": c.tau, "N": c.N, "M": c.M, "E": c.E, "rel_tol": rtol}
+        return _emit_sweep(args, header, row)
     if args.format == "csv":
-        emit_csv([tuple(payload[k] for k in ("tau", "N", "M", "E", "rel_tol"))],
-                 ["tau", "N", "M", "E", "rel_tol"])
+        emit_csv([row(args.tau)], header)
     else:
-        emit_json(payload)
+        emit_json(dict(zip(header, row(args.tau))))
     return EXIT_OK
 
 
@@ -274,7 +272,6 @@ def _random_instance(rng, max_atoms=12, loc_range=(-5.0, 5.0), weight_range=(0.0
             break
     w = rng.uniform(weight_range[0] + 0.05, weight_range[1], size=n)
     a_phi, a_psi = sorted(rng.choice(alphas, size=2, replace=False))
-    from .spectral import Symbol
     return oracle.DiagonalInstance(
         locations=tuple(locs.tolist()), weights=tuple(w.tolist()),
         phi=Symbol.power(float(a_phi)), psi=Symbol.power(float(a_psi)),
@@ -319,7 +316,6 @@ def verify_lemmas_suite(seed: int, count: int):
     worst_jump = 0.0
     limit_defect = 0.0
     decay_defect = 0.0
-    from .spectral import Symbol
     for _ in range(count):
         inst = _random_instance(rng, loc_range=(0.78, 1.0))
         # symmetrize signs so both half-lines are exercised

@@ -128,9 +128,8 @@ def n_value(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
     _require_tau(tau)
     if phi.is_zero:
         return 0.0
-    val = spectral_integral(measure, weight(phi, psi, tau, 0, 2), rel_tol=rel_tol,
-                            growth=_growth(phi, psi, 2, False))
-    return math.sqrt(val) if not math.isinf(val) else math.inf
+    return math.sqrt(spectral_integral(measure, weight(phi, psi, tau, 0, 2), rel_tol=rel_tol,
+                                       growth=_growth(phi, psi, 2, False)))
 
 
 def m_value(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
@@ -139,9 +138,8 @@ def m_value(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
     _require_tau(tau)
     if phi.is_zero or psi.is_zero:
         return 0.0
-    val = spectral_integral(measure, weight(phi, psi, tau, 1, 2), rel_tol=rel_tol,
-                            growth=_growth(phi, psi, 2, True))
-    return math.sqrt(val) if not math.isinf(val) else math.inf
+    return math.sqrt(spectral_integral(measure, weight(phi, psi, tau, 1, 2), rel_tol=rel_tol,
+                                       growth=_growth(phi, psi, 2, True)))
 
 
 def best_approx(measure: SpectralMeasure, phi: Symbol, psi: Symbol, tau: float,
@@ -156,7 +154,7 @@ def _psi_kernel_mass(measure: SpectralMeasure, phi: Symbol, psi: Symbol) -> floa
     """Mass of |phi|^2 dmu carried by points where psi vanishes exactly."""
     if measure.variant == "density":
         return 0.0  # densities: symbol zero sets carry no mass
-    if measure.variant == "lattice" and measure.lattice_weights is None:
+    if measure.atoms is None:
         # only finitely many lattice points can null a nonzero analytic symbol;
         # n = 0 is the one that matters for power symbols
         measure = SpectralMeasure.discrete([(0.0, measure.uniform_weight)])
@@ -272,20 +270,15 @@ def hlp_constant(phi: Symbol, psi: Symbol, tau: float,
     if phi.kind == "power" and (psi.kind == "power" or psi.is_zero) and unbounded \
             and domain[0] <= 0.0 <= domain[1]:
         b = 0.0 if psi.is_zero else psi.alpha
-        val = power_ratio_sup(phi.alpha, b, tau)
-        return math.sqrt(val) if not math.isinf(val) else math.inf
+        return math.sqrt(power_ratio_sup(phi.alpha, b, tau))
 
-    g_phi = effective_growth(phi)
-    g_psi = effective_growth(psi)
-    growth = None
-    if g_phi is not None and g_psi is not None:
-        growth = 2.0 * g_phi - 2.0 * max(g_psi, 0.0)
+    growth = _growth(phi, psi, 1, False)
     if not unbounded:
         growth = -1.0  # bounded domain: interior search suffices
 
     d = _denom(psi, tau)
     sup = sup_search(lambda t: float(abs(phi(t)) ** 2) / float(d(t)), domain, growth=growth)
-    return math.sqrt(sup.value) if not math.isinf(sup.value) else math.inf
+    return math.sqrt(sup.value)
 
 
 # ----------------------------------------------------------------------

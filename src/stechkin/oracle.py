@@ -96,7 +96,7 @@ class TheoremResiduals:
     deviation_at_gtau: float  # U(g_tau) vs tau*M(tau)
     norm_of_gtau: float     # ||g_tau|| vs N(tau)
     extremal_equality: float  # additive-equality defect at x_tau
-    coefficient_max: float  # max_j |g_oracle_j - g_tau_j|
+    coefficient_max: float  # max_j |g_oracle_j - g_tau_j| / max_j |g_tau_j|
 
     def max_residual(self) -> float:
         return max(self.parametric, self.deviation_at_gtau, self.norm_of_gtau,
@@ -210,7 +210,8 @@ def verify_theorems(instance: DiagonalInstance, tau: float) -> TheoremResiduals:
     if cons.N > 0:
         bf = brute_force_best_approx(instance, cons.N, audit=False)
         res_par = abs(bf.E - cons.E) / scale_e
-        coeff = float(np.max(np.abs(bf.g.values - g_tau.values))) if bf.g is not None else math.inf
+        coeff = math.inf if bf.g is None else float(
+            np.max(np.abs(bf.g.values - g_tau.values)) / max(np.max(np.abs(g_tau.values)), 1e-300))
     else:
         res_par = 0.0
         coeff = 0.0

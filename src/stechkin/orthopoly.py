@@ -126,25 +126,22 @@ def _recurrence(key: Tuple, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
     if kind == "hermite":
         a = np.zeros(n_max + 1)
         b = n / 2.0
-        b[0] = math.sqrt(math.pi)
-        return a, b
-    if kind == "laguerre":
+    elif kind == "laguerre":
         a = 2.0 * n + alpha + 1.0
         b = n * (n + alpha)
-        b[0] = math.gamma(alpha + 1.0)
-        return a, b
-    s = alpha + beta
-    a = np.empty(n_max + 1)
-    b = np.empty(n_max + 1)
-    a[0] = (beta - alpha) / (s + 2.0)
-    b[0] = 2.0 ** (s + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(s + 2.0)
-    for k in range(1, n_max + 1):
-        den = (2.0 * k + s) * (2.0 * k + s + 2.0)
-        a[k] = (beta * beta - alpha * alpha) / den
-        b[k] = (
-            4.0 * k * (k + alpha) * (k + beta) * (k + s)
-            / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
-        )
+    else:
+        s = alpha + beta
+        a = np.empty(n_max + 1)
+        b = np.empty(n_max + 1)
+        a[0] = (beta - alpha) / (s + 2.0)
+        for k in range(1, n_max + 1):
+            den = (2.0 * k + s) * (2.0 * k + s + 2.0)
+            a[k] = (beta * beta - alpha * alpha) / den
+            b[k] = (
+                4.0 * k * (k + alpha) * (k + beta) * (k + s)
+                / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
+            )
+    b[0] = OrthogonalFamily(*key).mu0()
     return a, b
 
 

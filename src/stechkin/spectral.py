@@ -129,12 +129,15 @@ class SpectralMeasure:
       value with tail-bound summation;
     * ``density``: a nonnegative density on a union of intervals (the
       constant density 1 on R is the translation-invariant case).
+
+    ``atoms`` holds a finitely supported measure as a read-only (J, 2) float
+    array of (t_j, w_j) rows (a finite lattice's in index order), and is
+    None exactly when the support is infinite.
     """
 
     variant: str
-    atoms: Tuple[Tuple[float, float], ...] = ()
+    atoms: Optional[np.ndarray] = None
     index_set: str = "Z"
-    lattice_weights: Optional[Mapping[int, float]] = None
     uniform_weight: Optional[float] = None
     support: Tuple[Interval, ...] = ()
     density_fn: Optional[Callable[[float], float]] = None
@@ -142,11 +145,9 @@ class SpectralMeasure:
 
     @classmethod
     def discrete(cls, atoms) -> "SpectralMeasure":
-        pts = tuple((float(t), float(w)) for t, w in atoms)
-        if not all(math.isfinite(t) and 0.0 <= w < math.inf for t, w in pts):
-            raise ConfigError("atoms need finite locations and finite nonnegative weights")
-        locs = [t for t, _ in pts]
-        if len(set(locs)) != len(locs):
+        """Atoms from (t, w) pairs: a sequence of pairs or a (J, 2) array."""
+        pts = _atom_array(atoms if isinstance(atoms, np.ndarray) else list(atoms))
+        if len(set(pts[:, 0].tolist())) != len(pts):
             raise ConfigError("discrete atom locations must be pairwise distinct")
         return cls(variant="discrete", atoms=pts)
 
@@ -159,11 +160,9 @@ class SpectralMeasure:
             raise ConfigError("lattice measures take exactly one of weights / uniform")
         if weights is not None:
             w = {int(k): float(v) for k, v in weights.items()}
-            if not all(0.0 <= v < math.inf for v in w.values()):
-                raise ConfigError("lattice weights must be finite and nonnegative")
             if index_set == "Z+" and any(k < 0 for k in w):
                 raise ConfigError("Z+ lattice weights must have nonnegative indices")
-            return cls(variant="lattice", index_set=index_set, lattice_weights=w)
+            return cls(variant="lattice", index_set=index_set, atoms=_atom_array(sorted(w.items())))
         if not 0.0 <= uniform < math.inf:
             raise ConfigError("uniform lattice weight must be finite and nonnegative")
         return cls(variant="lattice", index_set=index_set, uniform_weight=float(uniform))
@@ -193,20 +192,16 @@ class SpectralMeasure:
 
     def total_mass(self) -> float:
         """Total measure mass; may be +inf (allowed for density / uniform lattice)."""
-        if self.variant == "discrete" or self.lattice_weights is not None:
+        if self.atoms is not None:
             return _integral(self, np.ones_like).value
         if self.variant == "lattice":
             return math.inf if self.uniform_weight > 0 else 0.0
         mass = 0.0
         for a, b in self.support:
-            if math.isinf(b - a):
-                if self.density_desc == "one" or self.density_desc.startswith("const:"):
-                    c = 1.0 if self.density_desc == "one" else float(self.density_desc[6:])
-                    if c > 0:
-                        return math.inf
-                    continue
-                return math.inf  # unbounded support with unknown density: not claimed finite
-            mass += integrate(lambda t: float(self.density_at(t)), (a, b), rel_tol=1e-10).value
+            if not math.isinf(b - a):
+                mass += integrate(lambda t: float(self.density_at(t)), (a, b), rel_tol=1e-10).value
+            elif not (self.density_desc.startswith("const:") and float(self.density_desc[6:]) == 0.0):
+                return math.inf  # on an unbounded interval only the zero density is claimed finite
         return mass
 
     # -- JSON schema -----------------------------------------------------
@@ -223,11 +218,8 @@ class SpectralMeasure:
                 return cls.lattice(obj.get("set", "Z"), weights=obj["weights"])
             return cls.lattice(obj.get("set", "Z"), uniform=obj.get("uniform", 1.0))
         if kind == "density":
-            def end(x):
-                if x in ("-inf", "inf"):
-                    return -math.inf if x == "-inf" else math.inf
-                return float(x)
-            support = [(end(a), end(b)) for a, b in obj.get("support", [["-inf", "inf"]])]
+            # float() reads the ends "-inf" and "inf" as well as numbers
+            support = [(float(a), float(b)) for a, b in obj.get("support", [["-inf", "inf"]])]
             dens = obj.get("density", "one")
             if dens != "one" and not isinstance(dens, (int, float)):
                 raise ConfigError("density files support 'one' or a constant")
@@ -239,23 +231,33 @@ class SpectralMeasure:
         try:
             with open(path) as fh:
                 return cls.from_json(json.load(fh))
-        # ValueError also covers malformed JSON and unparsable indices or numbers
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        # ValueError also covers malformed JSON and unparsable indices or numbers,
+        # OverflowError an index beyond the float range
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"cannot load measure file {path!r}: {exc}") from exc
 
     def to_json(self) -> dict:
         if self.variant == "discrete":
-            return {"type": "discrete", "atoms": [{"t": t, "w": w} for t, w in self.atoms]}
+            return {"type": "discrete", "atoms": [{"t": t, "w": w} for t, w in self.atoms.tolist()]}
         if self.variant == "lattice":
-            if self.lattice_weights is not None:
+            if self.atoms is not None:
                 return {"type": "lattice", "set": self.index_set,
-                        "weights": {str(k): v for k, v in sorted(self.lattice_weights.items())}}
+                        "weights": {str(int(n)): w for n, w in self.atoms.tolist()}}
             return {"type": "lattice", "set": self.index_set, "uniform": self.uniform_weight,
                     "cutoff_policy": "tail-bound"}
         def end(x):
             return "-inf" if x == -math.inf else ("inf" if x == math.inf else x)
         return {"type": "density", "support": [[end(a), end(b)] for a, b in self.support],
                 "density": self.density_desc if self.density_desc == "one" else self.density_desc}
+
+
+def _atom_array(pairs) -> np.ndarray:
+    """(t, w) pairs as a read-only (J, 2) float array, checked finite with weights >= 0."""
+    pts = np.array(pairs, dtype=float).reshape(len(pairs), 2)
+    if not (np.isfinite(pts).all() and (pts[:, 1] >= 0.0).all()):
+        raise ConfigError("atoms need finite locations and finite nonnegative weights")
+    pts.flags.writeable = False
+    return pts
 
 
 # ----------------------------------------------------------------------
@@ -285,19 +287,28 @@ def weight(phi: Symbol, psi: Symbol, tau: float, psi_power: int, denom_power: in
     return lambda t: phi.abs2(t) / d(t) ** denom_power
 
 
-def _finite_sum(weight: Callable, points) -> float:
-    """fsum of weight(t) * w over the (t, w) pairs, the weight called once on all t.
+def _finite_sum(weight: Callable, t: np.ndarray, w: np.ndarray) -> float:
+    """fsum of weight(t_j) * w_j over the float arrays t and w, the weight called once on all t.
 
     Fewer than 8 points, a weight that cannot take the array, or one that
-    gives a non-finite value on it, get a per-point loop.
+    gives a non-finite value on it, get a per-point loop on Python floats.
+    A sum that overflows the float range raises :class:`NonConvergenceError`.
     """
-    if len(points) >= 8:  # below that numpy's fixed cost per call exceeds the loop's
-        t, w = np.asarray(points, dtype=float).T
+    terms = None
+    if len(t) >= 8:  # below that numpy's fixed cost per call exceeds the loop's
         with np.errstate(all="ignore"):
             vals = numerics._array_call(weight, t)
-        if vals is not None and np.isfinite(vals).all():
-            return math.fsum((np.real(vals) * w).tolist())
-    return math.fsum(float(np.real(weight(p))) * w for p, w in points)
+            if vals is not None and np.isfinite(vals).all():
+                terms = (np.real(vals) * w).tolist()
+    try:
+        if terms is None:
+            terms = [float(np.real(weight(p))) * c for p, c in zip(t.tolist(), w.tolist())]
+        total = math.fsum(terms)
+    except OverflowError:  # Python's ** raises where numpy's gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonConvergenceError("sum over the atoms overflowed the float range")
+    return total
 
 
 def _not_converged(what: str, growth: Optional[float], exc: Exception) -> NonConvergenceError:
@@ -318,11 +329,9 @@ def _integral(
     growth: Optional[float] = None,
 ) -> SeriesResult:
     """:func:`spectral_integral` with its error bound and its term (or panel) count."""
-    if measure.variant == "discrete" or measure.lattice_weights is not None:
-        # atoms in their order, finite lattice points in index order
-        points = measure.atoms if measure.variant == "discrete" else [
-            (float(n), w) for n, w in sorted(measure.lattice_weights.items())]
-        return SeriesResult(_finite_sum(weight, points), 0.0, len(points))
+    if measure.atoms is not None:
+        t, w = measure.atoms[:, 0], measure.atoms[:, 1]
+        return SeriesResult(_finite_sum(weight, t, w), 0.0, len(t))
 
     if measure.variant == "lattice":
         w0 = measure.uniform_weight
@@ -354,7 +363,9 @@ def _integral(
             return np.real(weight(t)) * dens(t)
 
         try:
-            res = integrate(f, (a, b), rel_tol=max(rel_tol, 1e-12))
+            # abs_tol 0: the tolerance is relative to the integral's L1 mass,
+            # however small the integral is
+            res = integrate(f, (a, b), rel_tol=max(rel_tol, 1e-12), abs_tol=0.0)
         except NonConvergenceError as exc:
             raise _not_converged("density integral", growth, exc) from exc
         total += res.value
@@ -385,8 +396,7 @@ def norm_phi_f(measure: SpectralMeasure, phi: Symbol,
     if phi.is_zero:
         return 0.0
     g = None if phi.growth_order is None else 2.0 * phi.growth_order
-    val = spectral_integral(measure, phi.abs2, rel_tol=rel_tol, growth=g)
-    return math.sqrt(val) if not math.isinf(val) else math.inf
+    return math.sqrt(spectral_integral(measure, phi.abs2, rel_tol=rel_tol, growth=g))
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +480,7 @@ def check_admissibility(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> A
         ess = math.sqrt(sup.value) if holds else math.inf
 
     l2: Optional[bool]
-    if measure.variant == "discrete" or measure.lattice_weights is not None:
+    if measure.atoms is not None:
         l2 = None
         notes.append("l2 condition not applicable to finitely supported measures")
     else:

@@ -1,10 +1,13 @@
 """CLI: output schema, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stechkin import core
 from stechkin.cli import (
@@ -256,6 +259,29 @@ class TestInputBoundary:
         assert code == EXIT_ADMISSIBILITY
         assert out == ""
 
+    @pytest.mark.parametrize("atoms, argv", [
+        ([(1e150, 1.0), (2.0, 1.0)], ("constants", "--tau", "1")),
+        ([(1e200, 1.0), (2.0, 1.0)], ("constants", "--tau", "1")),
+        ([(1.0, 1.0)], ("constants", "--tau", "1e200")),
+        ([(1.0, 1.0)], ("solve-tau", "--n-target", "1e-200")),
+    ], ids=["atom-1e150", "atom-1e200", "tau-1e200", "n-target-1e-200"])
+    def test_overflow_exits_nonconvergence(self, capsys, tmp_path, atoms, argv):
+        p = tmp_path / "measure.json"
+        p.write_text(json.dumps({"type": "discrete",
+                                 "atoms": [{"t": t, "w": w} for t, w in atoms]}))
+        code, out, err = run_cli(capsys, argv[0], "--measure", str(p),
+                                 "--phi", "pow:1", "--psi", "pow:2", *argv[1:])
+        assert code == EXIT_NONCONVERGENCE
+        assert out == "" and "overflow" in err
+
+    def test_lattice_index_beyond_float_range(self, capsys, tmp_path):
+        p = tmp_path / "measure.json"
+        p.write_text(json.dumps({"type": "lattice", "set": "Z", "weights": {"1" + "0" * 400: 1.0}}))
+        code, out, err = run_cli(capsys, "constants", "--measure", str(p),
+                                 "--phi", "pow:1", "--psi", "pow:2", "--tau", "1")
+        assert code == EXIT_CONFIG
+        assert out == "" and "too large" in err
+
     def test_unresolvable_quadrature_exits_fast(self, capsys):
         # the M^2 integrand decays like |t|^-1.5: refinement toward the end of the
         # mapped interval reaches u = 1, where the map divides by zero
@@ -290,3 +316,37 @@ class TestNonConvergenceMessage:
 
         with pytest.raises(NonConvergenceError, match="no growth metadata"):
             _integral(SpectralMeasure.density(), lambda t: math.nan * t)
+
+
+# the range's ends and awkward floats, and exponents spread evenly over it
+MAGNITUDE = st.one_of(st.floats(1e-300, 1e300), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+LOCATION = st.builds(lambda m, neg: -m if neg else m, MAGNITUDE, st.booleans())
+WEIGHT = st.floats(0.0, 1e300)
+INDEX = st.one_of(st.integers(-50, 50), st.integers(-10 ** 300, 10 ** 300))
+MEASURE = st.one_of(
+    st.builds(lambda atoms: {"type": "discrete", "atoms": [{"t": t, "w": w} for t, w in atoms]},
+              st.lists(st.tuples(LOCATION, WEIGHT), min_size=1, max_size=12,
+                       unique_by=lambda a: a[0])),
+    st.builds(lambda index_set, weights: {"type": "lattice", "set": index_set, "weights": {
+                  str(abs(n) if index_set == "Z+" else n): w for n, w in weights.items()}},
+              st.sampled_from(["Z", "Z+"]), st.dictionaries(INDEX, WEIGHT, min_size=1, max_size=12)),
+)
+
+
+class TestFuzzedMeasureFiles:
+    """Random finitely supported measure files: a documented exit code, never NaN on success."""
+
+    @pytest.mark.parametrize("command", ["constants", "solve-tau", "extremal"])
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(measure=MEASURE, a=st.integers(0, 4), b=st.integers(0, 4), value=MAGNITUDE)
+    def test_main_exits_cleanly(self, tmp_path_factory, command, measure, a, b, value):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_measure.json"
+        path.write_text(json.dumps(measure))
+        argv = [command, "--measure", str(path), "--phi", f"pow:{a}", "--psi", f"pow:{b}",
+                "--n-target" if command == "solve-tau" else "--tau", repr(value)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ADMISSIBILITY, EXIT_NONCONVERGENCE,
+                        EXIT_VERIFICATION)
+        assert code != EXIT_OK or "nan" not in out.getvalue()

@@ -294,3 +294,47 @@ class TestLemmaSuite:
             lemma_suite(ONE_ATOM, POW1, POW2, [1.0, 2.0])
         with pytest.raises(ValueError):
             lemma_suite(ONE_ATOM, POW1, POW2, [2.0, 1.0, 3.0])
+
+
+class TestScalingLaws:
+    """Exact laws for power symbols: tau-scaling on Lebesgue, location rescaling on atoms."""
+
+    # (a, b) with s = (2a+1)/(2b) in (0, 1): N^2 and M^2 both finite on R
+    PAIRS = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0.5, 2), (1.5, 3)]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_lebesgue_beta_closed_forms(self, a, b):
+        # N^2 = tau^-s Gamma(s) Gamma(2-s) / b and E^2 = tau^(1-s) Gamma(1+s) Gamma(1-s) / b,
+        # from u = tau |t|^(2b) in the Beta integral
+        s = (2 * a + 1) / (2 * b)
+        for tau in np.geomspace(1e-12, 1e12, 13).tolist():
+            c = best_approx(SpectralMeasure.density(), Symbol.power(a), Symbol.power(b), tau)
+            n = math.sqrt(tau ** -s * math.gamma(s) * math.gamma(2 - s) / b)
+            e = math.sqrt(tau ** (1 - s) * math.gamma(1 + s) * math.gamma(1 - s) / b)
+            assert c.N == pytest.approx(n, rel=1e-10, abs=0.0)
+            assert c.E == pytest.approx(e, rel=1e-10, abs=0.0)
+
+    RNG = np.random.default_rng(11)
+    ATOMS = list(zip(RNG.uniform(-3.0, 3.0, 12).tolist(), RNG.uniform(0.1, 2.0, 12).tolist()))
+    LATTICE = dict(zip(range(-5, 7), RNG.uniform(0.1, 2.0, 12).tolist()))
+
+    @pytest.mark.parametrize("k", [-3, -1, 1, 4])
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 2), (2.5, 3), (1, 4)])
+    def test_location_rescaling(self, k, a, b):
+        # |phi(ct)|^2 = c^(2a) |phi(t)|^2 and tau |psi(ct)|^2 = tau c^(2b) |psi(t)|^2, so
+        # N(tau; c mu) = c^a N(tau c^(2b); mu) and M(tau; c mu) = c^(a+b) M(tau c^(2b); mu)
+        c = 2.0 ** k
+        phi, psi = Symbol.power(a), Symbol.power(b)
+        pairs = [(SpectralMeasure.discrete([(c * t, w) for t, w in self.ATOMS]),
+                  SpectralMeasure.discrete(self.ATOMS))]
+        if k > 0:  # c times a lattice is a lattice only for integer c
+            pairs.append((SpectralMeasure.lattice("Z", weights={int(c) * n: w for n, w in
+                                                                 self.LATTICE.items()}),
+                          SpectralMeasure.lattice("Z", weights=self.LATTICE)))
+        for scaled, mu in pairs:
+            for tau in (1e-6, 0.3, 1.0, 1e4):
+                t2 = tau * c ** (2 * b)
+                assert n_value(scaled, phi, psi, tau) == pytest.approx(
+                    c ** a * n_value(mu, phi, psi, t2), rel=1e-14, abs=0.0)
+                assert m_value(scaled, phi, psi, tau) == pytest.approx(
+                    c ** (a + b) * m_value(mu, phi, psi, t2), rel=1e-14, abs=0.0)

@@ -21,6 +21,8 @@ from stechkin.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_ATOM = str(GOLDEN / "two_atom.json")
+NINE_ATOM = str(GOLDEN / "nine_atom.json")  # enough atoms for the one-array-call sum
+FINITE_LATTICE = str(GOLDEN / "finite_lattice.json")  # Z+ weights, keys out of order
 POWS = ("--phi", "pow:1", "--psi", "pow:2")
 SWEEP = ("--tau-grid", "0.1:10:5")
 CSV = ("--format", "csv")
@@ -47,6 +49,11 @@ CASES = {
     "solve-tau-two-atom": ("solve-tau", "--measure", TWO_ATOM, *POWS, "--n-target", "0.5"),
     "solve-tau-lebesgue": ("solve-tau", "--measure", "lebesgue", *POWS, "--n-target", "0.5"),
     "extremal-two-atom": ("extremal", "--measure", TWO_ATOM, *POWS, "--tau", "1"),
+    "constants-nine-atom": ("constants", "--measure", NINE_ATOM, *POWS, "--tau", "1"),
+    "constants-finite-lattice": ("constants", "--measure", FINITE_LATTICE, *POWS, "--tau", "1"),
+    "solve-tau-finite-lattice": ("solve-tau", "--measure", FINITE_LATTICE, *POWS,
+                                 "--n-target", "0.5"),
+    "extremal-finite-lattice": ("extremal", "--measure", FINITE_LATTICE, *POWS, "--tau", "1"),
     "extremal-lebesgue": ("extremal", "--measure", "lebesgue", *POWS, "--tau", "1"),
     "opoly": ("opoly", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--t", "0.0",
               *POWS, "--tau", "1"),

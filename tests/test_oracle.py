@@ -147,6 +147,21 @@ class TestVerifyTheorems:
         g = extremal_vector(inst, tau)
         assert float(np.max(np.abs(res.g.values - g.values))) <= 1e-10
 
+    @pytest.mark.parametrize("case", ["three-atom", "large-atom"])
+    def test_residuals_invariant_under_phi_scaling(self, case):
+        """phi -> 1e5 phi scales N, E and every coefficient alike: no residual may move."""
+        if case == "three-atom":
+            locs, weights, tau = (-1.3, 0.4, 2.2), (0.7, 1.1, 0.3), 0.6
+        else:  # the atom whose absolute coefficient residual once reached 1e-8
+            locs, weights, tau = (1e6,), (1.0,), 4e-24
+        big = Symbol.custom(lambda t: 1e5 * POW1(t), growth_order=1.0)
+        fields = ("parametric", "deviation_at_gtau", "norm_of_gtau", "extremal_equality",
+                  "coefficient_max")
+        plain = verify_theorems(DiagonalInstance(locs, weights, phi=POW1, psi=POW2), tau)
+        scaled = verify_theorems(DiagonalInstance(locs, weights, phi=big, psi=POW2), tau)
+        for name in fields:
+            assert abs(getattr(scaled, name) - getattr(plain, name)) <= 1e-12, name
+
     def test_complex_symbol_instance(self):
         """Complex-valued phi: moduli drive the constants, conjugation the vectors."""
         phi = Symbol.custom(lambda t: (1.0 + 2.0j) * t, growth_order=1.0)

@@ -207,10 +207,11 @@ class TestAdmissibility:
         assert rep.l2_condition_holds is None
 
 
-def per_atom_sum(measure, w):
-    """Reference: one weight call per atom, in atom (or sorted index) order."""
-    points = measure.atoms if measure.variant == "discrete" else [
-        (float(n), c) for n, c in sorted(measure.lattice_weights.items())]
+def per_atom_sum(measure, w, weights=None):
+    """Reference: one weight call per atom, in atom order, or per point of the
+    ``weights`` mapping a finite lattice was built from, in sorted index order."""
+    points = measure.atoms if weights is None else [
+        (float(n), c) for n, c in sorted(weights.items())]
     return math.fsum(float(np.real(w(t))) * c for t, c in points)
 
 
@@ -220,27 +221,29 @@ class TestFiniteSupportRoute:
     RNG = np.random.default_rng(7)
     ATOMS = SpectralMeasure.discrete(
         [(float(n), float(c)) for n, c in enumerate(RNG.uniform(0.1, 2.0, 3_001))])
-    LATTICE = SpectralMeasure.lattice(
-        "Z", weights={n: float(c) for n, c in zip(range(-300, 301), RNG.uniform(0.0, 1.0, 601))})
+    LATTICE_WEIGHTS = {n: float(c) for n, c in zip(range(-300, 301), RNG.uniform(0.0, 1.0, 601))}
+    LATTICE = SpectralMeasure.lattice("Z", weights=LATTICE_WEIGHTS)
 
-    @pytest.mark.parametrize("measure", [ATOMS, LATTICE], ids=["discrete", "lattice"])
+    @pytest.mark.parametrize("measure, weights", [(ATOMS, None), (LATTICE, LATTICE_WEIGHTS)],
+                             ids=["discrete", "lattice"])
     @pytest.mark.parametrize("a, b", [(a, b) for a in range(4) for b in range(4)])
-    def test_integer_powers_bit_equal_to_per_atom_loop(self, measure, a, b):
+    def test_integer_powers_bit_equal_to_per_atom_loop(self, measure, weights, a, b):
         for tau in (1e-3, 1.0, 7.3):
             for p, q in ((0, 2), (1, 2), (0, 1)):
                 w = weight(Symbol.power(a), Symbol.power(b), tau, p, q)
                 res = _integral(measure, w)
-                assert res.value == per_atom_sum(measure, w)
+                assert res.value == per_atom_sum(measure, w, weights)
                 assert res.tail_bound == 0.0
 
-    @pytest.mark.parametrize("measure", [ATOMS, LATTICE], ids=["discrete", "lattice"])
+    @pytest.mark.parametrize("measure, weights", [(ATOMS, None), (LATTICE, LATTICE_WEIGHTS)],
+                             ids=["discrete", "lattice"])
     @pytest.mark.parametrize("a, b", [(2.5, 4), (1, 5), (0.5, 2.5), (4, 5)])
-    def test_other_powers_within_1e_15(self, measure, a, b):
+    def test_other_powers_within_1e_15(self, measure, weights, a, b):
         # numpy's power differs from libm's pow in the last bit at some points
         for tau in (1e-3, 1.0, 7.3):
             for p, q in ((0, 2), (1, 2), (0, 1)):
                 w = weight(Symbol.power(a), Symbol.power(b), tau, p, q)
-                want = per_atom_sum(measure, w)
+                want = per_atom_sum(measure, w, weights)
                 assert abs(_integral(measure, w).value - want) <= 1e-15 * want
 
     # enough atoms for the array call: smaller measures always take the per-atom loop
@@ -274,10 +277,10 @@ class TestFiniteSupportRoute:
 
     def test_table_symbol_on_finite_lattice(self):
         phi = Symbol.from_table({-1: 2.0, 0: 1.0, 3: 1.0 - 1.0j})
-        m = SpectralMeasure.lattice("Z", weights={-1: 0.5, 0: 1.0, 2: 4.0, 3: 2.0, 4: 1.0,
-                                                  5: 1.0, 6: 1.0, 7: 1.0})
+        weights = {-1: 0.5, 0: 1.0, 2: 4.0, 3: 2.0, 4: 1.0, 5: 1.0, 6: 1.0, 7: 1.0}
+        m = SpectralMeasure.lattice("Z", weights=weights)
         w = weight(phi, Symbol.power(1), 1.0, 0, 2)
-        assert _integral(m, w).value == per_atom_sum(m, w)
+        assert _integral(m, w).value == per_atom_sum(m, w, weights)
         assert _integral(m, w).value == pytest.approx(0.5 + 1.0 + 2.0 * 2.0 / 100.0, rel=1e-15)
 
     def test_weight_non_finite_on_the_array_falls_back(self):
