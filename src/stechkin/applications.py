@@ -278,13 +278,17 @@ def _sym_tail(c2: float, g_num: float, g_psi: float, tau: float, n0: int) -> flo
     return (c2 / tau ** 2) * n0 ** (expo + 1.0) / (-(expo + 1.0))
 
 
-def _cutoffs(family: OrthogonalFamily, t: float, max_n: int):
+def _cutoffs(family: OrthogonalFamily, t: float, max_n: int, phi: Symbol):
     """The truncation loop of the expansion sums: (cutoff, F, c2) for cutoff = 64, 128, ..., max_n.
 
     F holds F_0(t), ..., F_cutoff(t); c2 = (2 max |F_n(t)|)^2 over the last 33
     degrees is the envelope the tail estimates take for F_n(t)^2 beyond the cutoff.
+    A table ``phi`` has no tail past its largest index, so the first cutoff
+    reaches that index (up to ``max_n``).
     """
     cutoff = 64
+    if phi.kind == "table":
+        cutoff = max(cutoff, min(max(phi.table, default=0), max_n))
     while True:
         F = evaluate_all(family, cutoff, float(t))
         yield cutoff, F, (2.0 * float(np.max(np.abs(F[max(0, cutoff - 32):])))) ** 2
@@ -321,7 +325,7 @@ def opoly_constants(family: OrthogonalFamily, phi: Symbol, psi: Symbol, tau: flo
     g_psi = max(effective_growth(psi), 0.0)
     w_n, w_e = weight(phi, psi, tau, 0, 2), weight(phi, psi, tau, 1, 2)
 
-    for cutoff, F, c2_env in _cutoffs(family, t, max_n):
+    for cutoff, F, c2_env in _cutoffs(family, t, max_n, phi):
         measure = _induced(F)
         n2, e2 = _integral(measure, w_n).value, _integral(measure, w_e).value
         del measure  # keep one cutoff's atoms alive at a time
@@ -371,7 +375,7 @@ def opoly_extremal_functional(family: OrthogonalFamily, phi: Symbol, psi: Symbol
     if g_phi is None or g_psi is None:
         raise AdmissibilityError("truncation policy needs symbol growth metadata")
 
-    for cutoff, F, c2_env in _cutoffs(family, t, max_n):
+    for cutoff, F, c2_env in _cutoffs(family, t, max_n, phi):
         x = np.asarray([float(x_coeffs(n)) for n in range(cutoff + 1)])
         val = _finite_sum(coefficient, np.arange(len(F), dtype=float), x * F)
         # Cauchy-Schwarz split: |tail| <= {sym tail}^(1/2) * x-envelope * sqrt(window)

@@ -6,8 +6,8 @@ Four primitives used throughout the package:
   infinite intervals (infinite ends are mapped to (-1, 1) by t = u/(1-u^2),
   which flattens algebraic decay uniformly);
 * :func:`sum_lattice` -- summation over Z or Z+ for eventually monotone
-  terms, with a midpoint-integral tail correction and a rigorous bracket
-  for the remaining error;
+  terms, with a midpoint-integral tail correction and a bracket for the
+  remaining error that holds while the terms keep decreasing;
 * :func:`solve_monotone` -- bracketing bisection for non-increasing
   functions of a positive parameter;
 * :func:`sup_search`  -- grid-plus-refinement supremum search with growth
@@ -238,12 +238,13 @@ def sum_lattice(
 ) -> SeriesResult:
     """Sum ``term(n)`` over ``Z+`` (n >= 0) or ``Z``.
 
-    Requires ``|term(n)|`` to be eventually monotone decaying.  Once three
-    consecutive decreases are observed, the tail beyond the last summed
-    index N is estimated by the midpoint integral of the term's continuous
-    extension on (N + 1/2, inf); for a non-increasing tail this estimate is
-    bracketed within ``term(N)/2`` of the true tail, which is reported as
-    ``tail_bound``.  The correction is only added when the tail is real and
+    Terms are summed in blocks of 64 indices, doubling up to 262,144.  Decay
+    is a heuristic read off the block just summed: once the last three terms
+    of a block decrease in magnitude, the tail beyond its last index N is
+    estimated by the midpoint integral of the term's continuous extension on
+    (N + 1/2, inf); for a non-increasing tail this estimate is bracketed
+    within ``term(N)/2`` of the true tail, which is reported as
+    ``tail_bound``.  The correction is only added when the block is real and
     of constant sign; otherwise the integral of ``|term|`` is used purely
     as a bound.
 
@@ -262,15 +263,18 @@ def sum_lattice(
             vals = vals + _try_vectorized(term, -n_arr)
         return vals
 
+    def g_abs(x):
+        v = abs(term(x))
+        if two_sided:
+            v = v + abs(term(-x))
+        return v
+
     s0 = term(0)
     is_complex = isinstance(s0, (complex, np.complexfloating))
     partial = complex(s0) if is_complex else float(s0)
     comp = 0.0  # Neumaier compensation, real path only
     terms_used = 1
-    decreases = 0
-    prev_mag = None
     last_nonzero = 0 if abs(s0) > 0 else -1
-    last_vals = None
     n_next = 1
     block = 64
 
@@ -299,34 +303,19 @@ def sum_lattice(
                 comp += (block_sum - t) + partial
             partial = t
         terms_used += block
-        for m in mags:
-            if prev_mag is not None:
-                decreases = decreases + 1 if m < prev_mag else 0
-            prev_mag = float(m)
-        last_vals = vals
         n_last = int(n_arr[-1])
         n_next = n_last + 1
 
         # finitely supported terms: a long run of exact zeros terminates the sum
         if n_last >= max(512, 4 * max(last_nonzero, 1)):
-            if last_nonzero < 0:
-                return SeriesResult(value=0.0 * partial, tail_bound=0.0, terms_used=terms_used)
             return SeriesResult(value=current_value(), tail_bound=0.0, terms_used=terms_used)
 
-        if decreases >= 3 and n_last >= 8:
-            tail_mag = abs(term(n_last))
-            if two_sided:
-                tail_mag += abs(term(-n_last))
-            tail_mag = float(tail_mag)
+        # decay: the block's last three terms decrease (a block holds >= 64)
+        if n_last >= 8 and np.all(np.diff(mags[-4:]) < 0):
+            edge = float(g_abs(float(n_last)))
             value_scale = max(abs(current_value()), abs_tol)
             # cheap pre-check before paying for the tail integral
-            if tail_mag <= 2.0 * rel_tol * value_scale:
-                def g_abs(x):
-                    v = abs(term(x))
-                    if two_sided:
-                        v = v + abs(term(-x))
-                    return v
-
+            if edge <= 2.0 * rel_tol * value_scale:
                 try:
                     tail = integrate(
                         g_abs, (n_last + 0.5, math.inf), rel_tol=1e-8, abs_tol=1e-300,
@@ -335,20 +324,14 @@ def sum_lattice(
                 except (TypeError, ValueError, NonConvergenceError):
                     tail = None
                 if tail is not None:
-                    half_bracket = 0.5 * g_abs(float(n_last)) + 2.0 * tail.abs_error_estimate
+                    half_bracket = 0.5 * edge + 2.0 * tail.abs_error_estimate
                     if half_bracket <= rel_tol * value_scale + abs_tol:
-                        arr = np.asarray(last_vals)
-                        signed_ok = not np.iscomplexobj(arr) and (
-                            np.all(arr >= 0) or np.all(arr <= 0)
-                        )
-                        value = current_value()
-                        if signed_ok:
-                            sign = 1.0 if np.all(arr >= 0) else -1.0
-                            value = value + sign * tail.value
-                            bound = half_bracket
-                        else:
+                        value, bound = current_value(), half_bracket
+                        if np.iscomplexobj(vals) or not (np.all(vals >= 0) or np.all(vals <= 0)):
                             # bound-only: the integral majorizes the dropped tail
                             bound = tail.value + half_bracket
+                        else:
+                            value = value + (1.0 if np.all(vals >= 0) else -1.0) * tail.value
                         return SeriesResult(value=value, tail_bound=float(bound), terms_used=terms_used)
         block = min(2 * block, 262144)
 

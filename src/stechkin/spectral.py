@@ -31,7 +31,7 @@ class Symbol:
 
     ``kind`` is one of ``power`` (sign-preserving |t|^alpha: integer alpha
     keeps the sign of t, fractional alpha uses |t|^alpha), ``zero``,
-    ``table`` (defined on lattice points only) or ``custom``.
+    ``table`` (defined on lattice points only, zero off its table) or ``custom``.
     ``growth_order`` is an exponent g with |phi(t)| <= C(1+|t|)^g, or None
     when unknown.
     """
@@ -265,12 +265,7 @@ def _atom_array(pairs) -> np.ndarray:
 
 
 def _denom(psi: Symbol, tau: float):
-    def d(t):
-        v = psi(t)
-        a2 = np.abs(v) ** 2 if isinstance(v, np.ndarray) else abs(v) ** 2
-        return 1.0 + tau * a2
-
-    return d
+    return lambda t: 1.0 + tau * psi.abs2(t)
 
 
 def weight(phi: Symbol, psi: Symbol, tau: float, psi_power: int, denom_power: int) -> Callable:
@@ -441,7 +436,7 @@ def effective_growth(sym: Symbol) -> Optional[float]:
     if sym.kind == "power":
         return sym.alpha
     if sym.kind == "table":
-        return 0.0  # finite support, bounded values
+        return -math.inf  # zero outside its table: no tail at all
     return sym.growth_order
 
 
@@ -483,32 +478,23 @@ def check_admissibility(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> A
     if measure.atoms is not None:
         l2 = None
         notes.append("l2 condition not applicable to finitely supported measures")
-    else:
-        def ratio2(t):
-            return np.real(np.abs(phi(t)) ** 2 / (1.0 + np.abs(psi(t)) ** 2))
-
-        if phi.is_zero:
-            l2 = True
-        elif phi.kind == "power" and (psi.kind == "power" or psi.is_zero):
-            b = 0.0 if psi.is_zero else psi.alpha
-            l2 = (2.0 * phi.alpha - 2.0 * b) < -1.0
-        elif g_phi is not None and g_psi is not None:
-            net = 2.0 * g_phi - 2.0 * max(g_psi, 0.0)
-            if net >= -1.0:
-                l2 = False
-            else:
-                try:
-                    if measure.variant == "lattice":
-                        sum_lattice(ratio2, measure.index_set, rel_tol=1e-6)
-                    else:
-                        for a_, b_ in measure.support:
-                            integrate(lambda t: float(ratio2(t)), (a_, b_), rel_tol=1e-6)
-                    l2 = True
-                except NonConvergenceError:
-                    l2 = False
+    elif phi.is_zero:
+        l2 = True
+    elif phi.kind == "power" and (psi.kind == "power" or psi.is_zero):
+        b = 0.0 if psi.is_zero else psi.alpha
+        l2 = (2.0 * phi.alpha - 2.0 * b) < -1.0
+    elif g_phi is not None and g_psi is not None:
+        net = 2.0 * g_phi - 2.0 * max(g_psi, 0.0)
+        if net >= -1.0:
+            l2 = False
         else:
-            l2 = None
-            notes.append("l2 condition undecidable without growth metadata")
+            try:
+                l2 = math.isfinite(_integral(measure, weight(phi, psi, 1.0, 0, 1), 1e-6).value)
+            except NonConvergenceError:
+                l2 = False
+    else:
+        l2 = None
+        notes.append("l2 condition undecidable without growth metadata")
 
     return AdmissibilityReport(
         condition_holds=holds,

@@ -215,6 +215,16 @@ class TestOpolyConstants:
         with pytest.raises(AdmissibilityError):
             opoly_constants(LEGENDRE, Symbol.power(1.5), Symbol.power(2.0), 1.0, 0.3)
 
+    @pytest.mark.parametrize("table, cutoff", [({1: 1.0, 2: 0.5}, 64), ({1: 1.0, 100: 0.5}, 100)])
+    def test_table_phi_has_no_tail(self, table, cutoff):
+        # a table symbol is zero past its largest index, so the first cutoff
+        # that reaches that index gives the whole sum
+        pc = opoly_constants(LEGENDRE, Symbol.from_table(table), POW2, 1.0, 0.3)
+        F = evaluate_all(LEGENDRE, max(table), 0.3)
+        n2 = math.fsum(v * v * F[n] ** 2 / (1.0 + n ** 4) ** 2 for n, v in table.items())
+        assert pc.truncation == cutoff and pc.tail_bound == 0.0
+        assert pc.N_pt ** 2 == pytest.approx(n2, rel=1e-13)
+
 
 class TestOpolyExtremalFunctional:
     def test_zero_coefficients(self):

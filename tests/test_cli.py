@@ -72,6 +72,18 @@ class TestConstants:
         assert code == EXIT_OK
         assert json.loads(out)["N"] ** 2 == pytest.approx(0.531046991776717, abs=1e-7)
 
+    def test_table_symbols_on_uniform_lattice(self, capsys, tmp_path):
+        # table symbols are zero off their tables: only n = 1 and n = 2 count
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"1": 1.0, "2": 0.5}))
+        b.write_text(json.dumps({"1": 2.0, "2": 3.0}))
+        code, out, _ = run_cli(capsys, "constants", "--measure", "unit-lattice",
+                               "--phi", f"table:{a}", "--psi", f"table:{b}", "--tau", "1")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["N"] ** 2 == pytest.approx(1 / 25 + 0.25 / 100, rel=1e-14)
+        assert data["M"] ** 2 == pytest.approx(4 / 25 + 0.25 * 9 / 100, rel=1e-14)
+
     def test_env_var_overrides_default_tolerance(self, capsys, single_atom, monkeypatch):
         monkeypatch.setenv("STECHKIN_REL_TOL", "1e-6")
         code, out, _ = run_cli(capsys, "constants", "--measure", single_atom,

@@ -36,6 +36,10 @@ CASES = {
     "constants-lattice-csv": ("constants", "--measure", "unit-lattice", *POWS, "--tau", "1", *CSV),
     "constants-lattice-sweep": ("constants", "--measure", "unit-lattice", *POWS, *SWEEP),
     "constants-lattice-sweep-csv": ("constants", "--measure", "unit-lattice", *POWS, *SWEEP, *CSV),
+    # slow n^-2 decay: 135,042 terms, through the largest (262,144-term) blocks
+    "constants-lattice-long-sweep-csv": ("constants", "--measure", "unit-lattice",
+                                         "--phi", "pow:0", "--psi", "pow:1",
+                                         "--tau-grid", "1e-4:1e2:4", *CSV),
     "line": ("line", *POWS, "--tau", "1"),
     "line-csv": ("line", *POWS, "--tau", "1", *CSV),
     "line-sweep": ("line", *POWS, *SWEEP),
@@ -46,6 +50,7 @@ CASES = {
     "circle-csv": ("circle", *POWS, "--tau", "1", *CSV),
     "circle-sweep": ("circle", *POWS, *SWEEP),
     "circle-sweep-csv": ("circle", *POWS, *SWEEP, *CSV),
+    "circle-long": ("circle", "--phi", "pow:0", "--psi", "pow:1", "--tau", "1e-4"),
     "solve-tau-two-atom": ("solve-tau", "--measure", TWO_ATOM, *POWS, "--n-target", "0.5"),
     "solve-tau-lebesgue": ("solve-tau", "--measure", "lebesgue", *POWS, "--n-target", "0.5"),
     "extremal-two-atom": ("extremal", "--measure", TWO_ATOM, *POWS, "--tau", "1"),

@@ -225,6 +225,24 @@ class TestSumLattice:
         with pytest.raises(NonConvergenceError):
             sum_lattice(lambda n: 1.0, "Z+", max_terms=3000)
 
+    @pytest.mark.parametrize("index_set", ["Z", "Z+"])
+    def test_scalar_calls_only_at_zero_and_each_edge(self, index_set):
+        # an array-aware term is called per block; on scalars only at n = 0
+        # and once at the edge of each block that shows decay
+        scalars = []
+
+        def term(n):
+            if np.ndim(n) == 0:
+                scalars.append(n)
+            return 1.0 / (1.0 + np.abs(n)) ** 2
+
+        r = sum_lattice(term, index_set, rel_tol=1e-8)
+        sides = 2 if index_set == "Z" else 1
+        assert scalars[0] == 0 and len(scalars) > 1
+        edges = [abs(n) for n in scalars[1:]]
+        assert len(edges) == sides * len(set(edges))
+        assert max(edges) == r.terms_used - 1  # the last block's edge
+
     @settings(max_examples=25, deadline=None)
     @given(p=st.floats(2.2, 6.0), c=st.floats(0.1, 5.0))
     def test_two_sided_split_identity(self, p, c):

@@ -206,6 +206,19 @@ class TestAdmissibility:
                                   SpectralMeasure.discrete([(1, 1)]))
         assert rep.l2_condition_holds is None
 
+    @pytest.mark.parametrize("measure", [
+        SpectralMeasure.density(),
+        SpectralMeasure.density(support=((0.0, math.inf),)),
+        SpectralMeasure.lattice("Z", uniform=1.0),
+    ], ids=["line", "half-line", "unit-lattice"])
+    def test_l2_from_growth_metadata(self, measure):
+        phi = Symbol.custom(lambda t: t, growth_order=1.0)
+        psi = Symbol.custom(lambda t: t * t, growth_order=2.0)
+        assert check_admissibility(phi, psi, measure).l2_condition_holds is True
+        # sin t claims growth 2 but stays bounded: t^2/(1 + sin^2 t) is not summable
+        bounded = Symbol.custom(np.sin, growth_order=2.0)
+        assert check_admissibility(phi, bounded, measure).l2_condition_holds is False
+
 
 def per_atom_sum(measure, w, weights=None):
     """Reference: one weight call per atom, in atom order, or per point of the
