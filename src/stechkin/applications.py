@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, _growth, _require_tau
+from .core import DEFAULT_RTOL, _require_tau
 from .errors import AdmissibilityError, NonConvergenceError
 from .numerics import integrate, sum_lattice
 from .orthopoly import OrthogonalFamily, evaluate_all
@@ -26,6 +26,7 @@ from .spectral import (
     SpectralMeasure,
     _denom,
     _finite_sum,
+    _growth,
     _integral,
     check_admissibility,
     effective_growth,

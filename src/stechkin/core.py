@@ -21,20 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import AdmissibilityError, TargetOutOfRangeError
-from .numerics import solve_monotone, sup_search
+from .numerics import solve_monotone
 from .spectral import (
     SpectralMeasure,
     Symbol,
     _denom,
+    _growth,
     _integral,
-    effective_growth,
+    _ratio_sup,
     norm_phi_f,
-    power_ratio_sup,
     spectral_integral,
     weight,
 )
@@ -94,23 +94,6 @@ class LemmaReport:
     limit_tau_inf: float
     tauM_limit0: float
     small_tau_envelope: float
-
-
-# ----------------------------------------------------------------------
-# growth bookkeeping
-
-
-def _growth(phi: Symbol, psi: Symbol, denom_power: int, psi_factor: bool) -> Optional[float]:
-    """Net tail growth of |phi|^2 (|psi|^2)? / (1+tau|psi|^2)^denom_power."""
-    g_phi = effective_growth(phi)
-    g_psi = effective_growth(psi)
-    if g_phi is None or g_psi is None:
-        return None
-    g = 2.0 * g_phi
-    if psi_factor:
-        g += 2.0 * g_psi
-    g -= 2.0 * denom_power * max(g_psi, 0.0)
-    return g
 
 
 def _require_tau(tau: float) -> None:
@@ -258,27 +241,14 @@ def hlp_constant(phi: Symbol, psi: Symbol, tau: float,
                  domain: Tuple[float, float] = (-math.inf, math.inf)) -> float:
     """Supremum constant sup_t { |phi(t)|^2 / (1 + tau |psi(t)|^2) }^(1/2).
 
-    Exact closed form for power-symbol pairs on a domain containing the
-    stationary point; supremum search otherwise.  Returns ``math.inf`` when
+    The square root of ``spectral._ratio_sup``, which admissibility reads at
+    tau = 1: exact for power pairs on an unbounded domain containing 0 and
+    for table phi, a supremum search otherwise.  Returns ``math.inf`` when
     the ratio is unbounded (the boundedness condition on |phi|/(1+|psi|^2)^(1/2)
     fails), which makes the operator-norm comparison vacuous.
     """
     _require_tau(tau)
-    if phi.is_zero:
-        return 0.0
-    unbounded = math.isinf(domain[0]) or math.isinf(domain[1])
-    if phi.kind == "power" and (psi.kind == "power" or psi.is_zero) and unbounded \
-            and domain[0] <= 0.0 <= domain[1]:
-        b = 0.0 if psi.is_zero else psi.alpha
-        return math.sqrt(power_ratio_sup(phi.alpha, b, tau))
-
-    growth = _growth(phi, psi, 1, False)
-    if not unbounded:
-        growth = -1.0  # bounded domain: interior search suffices
-
-    d = _denom(psi, tau)
-    sup = sup_search(lambda t: float(abs(phi(t)) ** 2) / float(d(t)), domain, growth=growth)
-    return math.sqrt(sup.value)
+    return math.sqrt(_ratio_sup(phi, psi, tau, domain))
 
 
 # ----------------------------------------------------------------------

@@ -137,10 +137,13 @@ def _recurrence(key: Tuple, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
         for k in range(1, n_max + 1):
             den = (2.0 * k + s) * (2.0 * k + s + 2.0)
             a[k] = (beta * beta - alpha * alpha) / den
-            b[k] = (
-                4.0 * k * (k + alpha) * (k + beta) * (k + s)
-                / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
-            )
+            if k + s == 0.0:  # alpha + beta = -1 makes b_1 0/0: take its limit
+                b[k] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + s) ** 2 * (3.0 + s))
+            else:
+                b[k] = (
+                    4.0 * k * (k + alpha) * (k + beta) * (k + s)
+                    / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
+                )
     b[0] = OrthogonalFamily(*key).mu0()
     return a, b
 
@@ -166,13 +169,10 @@ def evaluate_all(family: OrthogonalFamily, n_max: int, t) -> np.ndarray:
     """
     _gate(family)
     tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt)
     lo, hi = family.interval()
     if np.any(tt < lo) or np.any(tt > hi):
         raise ValueError(f"evaluation point outside the family interval {family.interval()}")
-    out = _eval_block(family, n_max, tt)
-    return out[:, 0] if scalar else out
+    return _eval_block(family, n_max, float(tt) if tt.ndim == 0 else tt)
 
 
 def evaluate(family: OrthogonalFamily, n: int, t):
@@ -246,19 +246,22 @@ def _panels(family: OrthogonalFamily, n_max: int) -> np.ndarray:
     return np.unique(np.concatenate([left, body, right]))
 
 
-def _eval_block(family: OrthogonalFamily, n_max: int, tt: np.ndarray) -> np.ndarray:
-    """Recurrence evaluated without the Gram gate, which itself calls this path."""
+def _eval_block(family: OrthogonalFamily, n_max: int, t) -> np.ndarray:
+    """Recurrence evaluated without the Gram gate, which itself calls this path.
+
+    A float ``t`` runs on Python floats, a 1-d array on numpy arrays, with the
+    same bits per point; the shape is (n_max+1,) + np.shape(t).
+    """
     a, b = _recurrence(family._key(), n_max + 1)
-    Q = np.empty((n_max + 1, tt.size))
-    q_prev = np.zeros(tt.size)
-    q = np.full(tt.size, 1.0 / math.sqrt(b[0]))
+    a, rb = a.tolist(), np.sqrt(b).tolist()
+    Q = np.empty((n_max + 1,) + np.shape(t))
+    q_prev, q = 0.0, 1.0 / rb[0]
     Q[0] = q
     for k in range(n_max):
-        q_next = ((tt - a[k]) * q - math.sqrt(b[k]) * q_prev) / math.sqrt(b[k + 1])
-        q_prev, q = q, q_next
+        q_prev, q = q, ((t - a[k]) * q - rb[k] * q_prev) / rb[k + 1]
         Q[k + 1] = q
-    signs = np.asarray([family.sign(k) for k in range(n_max + 1)])
-    return Q * signs[:, None]
+    Q[1::2] *= family.sign(1)
+    return Q
 
 
 def gram_matrix(family: OrthogonalFamily, n_max: int) -> np.ndarray:
@@ -277,12 +280,12 @@ def gram_matrix(family: OrthogonalFamily, n_max: int) -> np.ndarray:
 
     # analytic sliver terms at algebraic endpoints
     if family.kind == "laguerre":
-        q0 = _eval_block(family, n_max, np.asarray([0.0]))[:, 0]
+        q0 = _eval_block(family, n_max, 0.0)
         mass = _SLIVER ** (family.alpha + 1.0) / (family.alpha + 1.0)
         G += mass * np.outer(q0, q0)
     elif family.kind == "jacobi":
-        qm = _eval_block(family, n_max, np.asarray([-1.0]))[:, 0]
-        qp = _eval_block(family, n_max, np.asarray([1.0]))[:, 0]
+        qm = _eval_block(family, n_max, -1.0)
+        qp = _eval_block(family, n_max, 1.0)
         mass_m = 2.0 ** family.alpha * _SLIVER ** (family.beta + 1.0) / (family.beta + 1.0)
         mass_p = 2.0 ** family.beta * _SLIVER ** (family.alpha + 1.0) / (family.alpha + 1.0)
         G += mass_m * np.outer(qm, qm) + mass_p * np.outer(qp, qp)

@@ -282,6 +282,19 @@ def weight(phi: Symbol, psi: Symbol, tau: float, psi_power: int, denom_power: in
     return lambda t: phi.abs2(t) / d(t) ** denom_power
 
 
+def _growth(phi: Symbol, psi: Symbol, denom_power: int, psi_factor: bool) -> Optional[float]:
+    """Net tail growth of |phi|^2 (|psi|^2)? / (1+tau|psi|^2)^denom_power."""
+    g_phi = effective_growth(phi)
+    g_psi = effective_growth(psi)
+    if g_phi is None or g_psi is None:
+        return None
+    g = 2.0 * g_phi
+    if psi_factor:
+        g += 2.0 * g_psi
+    g -= 2.0 * denom_power * max(g_psi, 0.0)
+    return g
+
+
 def _finite_sum(weight: Callable, t: np.ndarray, w: np.ndarray) -> float:
     """fsum of weight(t_j) * w_j over the float arrays t and w, the weight called once on all t.
 
@@ -440,39 +453,43 @@ def effective_growth(sym: Symbol) -> Optional[float]:
     return sym.growth_order
 
 
-def check_admissibility(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> AdmissibilityReport:
-    """Decide the |phi|/(1+|psi|^2)^(1/2) boundedness and the variant L2 condition."""
-    notes = []
-    g_phi = effective_growth(phi)
-    g_psi = effective_growth(psi)
+def _ratio_sup(phi: Symbol, psi: Symbol, tau: float,
+               domain: Interval = (-math.inf, math.inf)) -> float:
+    """sup over t in ``domain`` of |phi(t)|^2 / (1 + tau |psi(t)|^2); ``math.inf`` if unbounded.
 
+    Exact for zero and table phi (zero off its keys) and for power pairs on an
+    unbounded domain containing 0; otherwise :func:`sup_search`.
+    """
     if phi.is_zero:
-        holds, ess = True, 0.0
-    elif phi.kind == "power" and (psi.kind == "power" or psi.is_zero):
-        a = phi.alpha
-        b = 0.0 if psi.is_zero else psi.alpha
-        if a == 0.0:
-            holds, ess = True, 1.0
-        elif b == 0.0:
-            holds, ess = False, math.inf
-            notes.append("unbounded power over constant denominator")
-        elif a <= b:
-            holds = True
-            ess = math.sqrt(power_ratio_sup(a, b, 1.0))
-        else:
-            holds, ess = False, math.inf
-    elif g_phi is None or g_psi is None:
+        return 0.0
+    lo, hi = domain
+    d = _denom(psi, tau)
+    ratio = lambda t: float(abs(phi(t)) ** 2) / float(d(t))
+    if phi.kind == "table":
+        return max((ratio(float(k)) for k in phi.table if lo <= k <= hi), default=0.0)
+    unbounded = math.isinf(lo) or math.isinf(hi)
+    if phi.kind == "power" and (psi.kind == "power" or psi.is_zero) and unbounded \
+            and lo <= 0.0 <= hi:
+        return power_ratio_sup(phi.alpha, 0.0 if psi.is_zero else psi.alpha, tau)
+    # a bounded domain needs only the interior search
+    growth = _growth(phi, psi, 1, False) if unbounded else -1.0
+    return sup_search(ratio, domain, growth=growth).value
+
+
+def check_admissibility(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> AdmissibilityReport:
+    """Decide the |phi|/(1+|psi|^2)^(1/2) boundedness and the variant L2 condition.
+
+    The bound is the supremum ``hlp_constant`` takes, at tau = 1 (:func:`_ratio_sup`).
+    """
+    notes = []
+    growth = _growth(phi, psi, 1, False)
+
+    if growth is None and not phi.is_zero:
         holds, ess = None, math.nan
         notes.append("undecidable: custom symbol lacks growth metadata on an unbounded domain")
     else:
-        net = 2.0 * g_phi - 2.0 * max(g_psi, 0.0)
-        sup = sup_search(
-            lambda t: float(abs(phi(t)) ** 2 / (1.0 + abs(psi(t)) ** 2)),
-            (-math.inf, math.inf),
-            growth=net,
-        )
-        holds = not math.isinf(sup.value)
-        ess = math.sqrt(sup.value) if holds else math.inf
+        sup = _ratio_sup(phi, psi, 1.0)
+        holds, ess = not math.isinf(sup), math.sqrt(sup)
 
     l2: Optional[bool]
     if measure.atoms is not None:
@@ -480,21 +497,18 @@ def check_admissibility(phi: Symbol, psi: Symbol, measure: SpectralMeasure) -> A
         notes.append("l2 condition not applicable to finitely supported measures")
     elif phi.is_zero:
         l2 = True
-    elif phi.kind == "power" and (psi.kind == "power" or psi.is_zero):
-        b = 0.0 if psi.is_zero else psi.alpha
-        l2 = (2.0 * phi.alpha - 2.0 * b) < -1.0
-    elif g_phi is not None and g_psi is not None:
-        net = 2.0 * g_phi - 2.0 * max(g_psi, 0.0)
-        if net >= -1.0:
-            l2 = False
-        else:
-            try:
-                l2 = math.isfinite(_integral(measure, weight(phi, psi, 1.0, 0, 1), 1e-6).value)
-            except NonConvergenceError:
-                l2 = False
-    else:
+    elif growth is None:
         l2 = None
         notes.append("l2 condition undecidable without growth metadata")
+    elif growth >= -1.0:
+        l2 = False
+    elif phi.kind == "power" and (psi.kind == "power" or psi.is_zero):
+        l2 = True  # the exponent decides for power pairs: no integral
+    else:
+        try:
+            l2 = math.isfinite(_integral(measure, weight(phi, psi, 1.0, 0, 1), 1e-6).value)
+        except NonConvergenceError:
+            l2 = False
 
     return AdmissibilityReport(
         condition_holds=holds,

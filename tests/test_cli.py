@@ -153,6 +153,41 @@ class TestLineCircleOpolyHlp:
         assert data["N"] == pytest.approx(0.09391931117209237, rel=1e-9)
         assert data["truncation"] >= 64
 
+    def test_opoly_chebyshev(self, capsys):
+        # alpha + beta = -1: the recurrence's b_1 is 0/0; F_n(cos th) = (2/pi)^(1/2) cos(n th)
+        code, out, err = run_cli(capsys, "opoly", "--family", "jacobi", "--alpha", "-0.5",
+                                 "--beta", "-0.5", "--t", "0.3", "--phi", "pow:1",
+                                 "--psi", "pow:2", "--tau", "1")
+        assert code == EXIT_OK and "Traceback" not in err
+        th = math.acos(0.3)
+        n2 = math.fsum(2 / math.pi * n ** 2 * math.cos(n * th) ** 2 / (1 + n ** 4) ** 2
+                       for n in range(1, 2000))
+        assert json.loads(out)["N"] == pytest.approx(math.sqrt(n2), rel=1e-12)
+
+    def test_circle_table_symbols(self, capsys, tmp_path):
+        # the circle is a lattice setting: the tables' constants are those of the unit lattice
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"1": 1.0, "2": 0.5}))
+        b.write_text(json.dumps({"1": 2.0, "2": 3.0}))
+        tables = ("--phi", f"table:{a}", "--psi", f"table:{b}", "--tau", "1")
+        code, out, _ = run_cli(capsys, "circle", *tables)
+        assert code == EXIT_OK
+        circle = json.loads(out)
+        _, out, _ = run_cli(capsys, "constants", "--measure", "unit-lattice", *tables)
+        lattice = json.loads(out)
+        assert (circle["N"], circle["E"]) == (lattice["N"], lattice["E"])
+        assert circle["N"] == 0.20615528128088303 and circle["E"] == 0.42720018726587655
+
+    def test_hlp_table_symbols(self, capsys, tmp_path):
+        # a table phi is zero off its keys: the sup is the largest ratio on them, 1/(1+2^2)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"1": 1.0, "2": 0.5}))
+        b.write_text(json.dumps({"1": 2.0, "2": 3.0}))
+        code, out, _ = run_cli(capsys, "hlp", "--phi", f"table:{a}", "--psi", f"table:{b}",
+                               "--tau", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["constant"] == math.sqrt(0.2)
+
     def test_hlp(self, capsys):
         code, out, _ = run_cli(capsys, "hlp", "--phi", "pow:1", "--psi", "pow:2",
                                "--tau", "1")

@@ -62,7 +62,15 @@ CASES = {
     "extremal-lebesgue": ("extremal", "--measure", "lebesgue", *POWS, "--tau", "1"),
     "opoly": ("opoly", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--t", "0.0",
               *POWS, "--tau", "1"),
+    # capped expansions: each runs to the 10,000-degree cap
+    "opoly-hermite": ("opoly", "--family", "hermite", "--t", "0.3", *POWS, "--tau", "1"),
+    "opoly-laguerre": ("opoly", "--family", "laguerre", "--alpha", "0.5", "--t", "0.3",
+                       *POWS, "--tau", "1"),
+    "opoly-jacobi": ("opoly", "--family", "jacobi", "--alpha", "0.5", "--beta", "-0.3",
+                     "--t", "0.3", *POWS, "--tau", "1"),
     "hlp": ("hlp", *POWS, "--tau", "1"),
+    # a bounded domain takes the supremum search, not the closed form
+    "hlp-bounded-domain": ("hlp", *POWS, "--tau", "1", "--domain-lo", "0", "--domain-hi", "0.5"),
     "verify-lemmas": ("verify", "--suite", "lemmas"),
     "verify-opoly": ("verify", "--suite", "opoly"),
 }

@@ -77,6 +77,35 @@ class TestGram:
                 assert vals[n, j] == pytest.approx(evaluate(LEGENDRE, n, float(t)))
 
 
+class TestChebyshev:
+    """alpha + beta = -1: the recurrence's b_1 is 0/0 and takes its limit."""
+
+    CHEB = OrthogonalFamily.jacobi(-0.5, -0.5)
+
+    def test_first_kind_closed_form(self):
+        t = np.cos(np.linspace(0.05, 3.1, 9))
+        vals = evaluate_all(self.CHEB, 200, t)
+        assert np.max(np.abs(vals[0] - math.pi ** -0.5)) <= 1e-15
+        n = np.arange(1, 201)[:, None]
+        ref = math.sqrt(2 / math.pi) * np.cos(n * np.arccos(t))
+        assert np.max(np.abs(vals[1:] - ref)) <= 2e-13
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (-0.4, -0.6)])
+    def test_orthonormal_to_1e10(self, alpha, beta):
+        g = gram_matrix(OrthogonalFamily.jacobi(alpha, beta), 20)
+        assert float(np.max(np.abs(g - np.eye(21)))) <= 1e-10
+
+
+class TestScalarPoint:
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.kind}-{f.alpha}-{f.beta}")
+    def test_scalar_bit_equal_to_one_point_array(self, family):
+        lo, hi = family.interval()
+        for t in (-1.0, -0.7, 0.0, 0.3, 1.0, 2.5, 7.5):
+            if lo <= t <= hi:
+                assert np.array_equal(evaluate_all(family, 2000, t),
+                                      evaluate_all(family, 2000, [t])[:, 0])
+
+
 class TestOde:
     def test_eigenvalues_match_displays(self):
         assert [HERMITE.eigenvalue(n) for n in range(4)] == [0.0, -2.0, -4.0, -6.0]

@@ -16,6 +16,7 @@ from stechkin import (
     parse_symbol,
     spectral_integral,
 )
+from stechkin.core import hlp_constant
 from stechkin.spectral import _integral, weight
 
 INF = math.inf
@@ -193,6 +194,22 @@ class TestAdmissibility:
         rep = check_admissibility(phi, Symbol.power(2), SpectralMeasure.density())
         assert rep.condition_holds is None
         assert "undecidable" in rep.notes
+
+    @pytest.mark.parametrize("phi, psi", [
+        (Symbol.power(1), Symbol.power(2)),
+        (Symbol.custom(lambda t: t, growth_order=1.0),
+         Symbol.custom(lambda t: t * t, growth_order=2.0)),
+        (Symbol.from_table({1: 1.0, 2: 0.5}), Symbol.from_table({1: 2.0, 2: 3.0})),
+    ], ids=["power", "custom-with-growth", "table"])
+    def test_sup_estimate_is_hlp_constant_at_tau_one(self, phi, psi):
+        rep = check_admissibility(phi, psi, SpectralMeasure.lattice("Z", uniform=1.0))
+        assert rep.condition_holds is True
+        assert rep.ess_sup_estimate == hlp_constant(phi, psi, 1.0)
+
+    def test_zero_phi_decided_without_psi_metadata(self):
+        rep = check_admissibility(Symbol.zero(), Symbol.custom(np.sin), SpectralMeasure.density())
+        assert rep.condition_holds is True
+        assert rep.ess_sup_estimate == 0.0
 
     def test_l2_fails_for_slow_decay(self):
         # ratio^2 ~ t^-1 is not integrable
